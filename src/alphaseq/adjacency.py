@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cells import lexical_predecessor_candidate, lexical_successor_candidate
 from .core import (
     AlphaSeq,
-    SetContext,
     ZERO,
     degree,
     extend_even,
@@ -28,13 +28,12 @@ from .core import (
     is_fundamental,
     is_lexical,
     least_element,
-    max_element,
     meet,
     power,
     star,
     two_adic_split,
 )
-from .errors import Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
+from .errors import InvalidN, Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
 
 log = logging.getLogger(__name__)
 
@@ -58,14 +57,18 @@ class StarFactorization:
 
 
 def _require_ln(a: AlphaSeq, n: int) -> None:
-    if not SetContext("L", n).contains(a):
+    if n < 1:
+        raise InvalidN(f"n must be >= 1, got {n}")
+    if 1 + degree(a) != n or min(a, default=1) < 1 or not is_lexical(a):
         raise NotInSet(f"{format_sequence(a)} is not a member of L_{n}")
 
 
 def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, AlphaSeq, int, int, int]:
     """Candidate rewrite, meet f, m = 1 + degree(f), and divmod(n, m)."""
     _require_ln(a, n)
-    if a == max_element(SetContext("L", n)):
+    # the members of length at most one are (n - 1) and, for n = 1, the zero
+    # sequence: each is the maximum of its L_n
+    if len(a) < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of L_{n}")
     cand, _ = lexical_successor_candidate(a)
     f = meet(a, cand)
@@ -131,14 +134,20 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     """
     _require_ln(a, n)
     best: StarFactorization | None = None
+    # m = 1 + degree(g) is the degree of the prefix extend_odd(g) that g is read
+    # from, so the prefix sums rule out every prefix whose m is not a proper
+    # divisor of n before any sequence is built; proper divisors are <= n // 2.
+    prefix_degrees = list(accumulate(a))
     for plen in range(1, len(a) + 1, 2):
+        m = prefix_degrees[plen - 1]
+        if m > n // 2:
+            break
+        if n % m != 0:
+            continue
         g = _invert_extend_odd(a[:plen])
         if not g:
             continue
         if not is_lexical(g) or not is_fundamental(g):
-            continue
-        m = 1 + degree(g)
-        if m >= n or n % m != 0:
             continue
         d = n // m
         lam = least_element(d)

@@ -11,6 +11,7 @@ Everything here is a pure function over immutable tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidN, PrefixAmbiguity, UndefinedOperation
 
@@ -39,23 +40,23 @@ def order_key(a: AlphaSeq) -> tuple[int, ...]:
     return tuple(key)
 
 
-def _signed(a: AlphaSeq, i: int) -> int:
-    if i >= len(a):
-        return 0
-    return a[i] if i % 2 == 0 else -a[i]
-
-
 def compare(a: AlphaSeq, b: AlphaSeq) -> int:
     """Three-way comparison: -1, 0 or 1 as ``a`` is below, equal to or above ``b``.
 
     The alternating-sign views are scanned position by position (zero past
-    the end of a sequence); the sign of the first difference decides.
+    the end of a sequence); the sign of the first difference decides. When
+    one sequence is a left factor of the other, the longer one's next cell
+    decides: it is above the shorter at an even 0-based index, below at an
+    odd one.
     """
-    for i in range(max(len(a), len(b))):
-        sa, sb = _signed(a, i), _signed(b, i)
-        if sa != sb:
-            return LESS if sa < sb else GREATER
-    return EQUAL
+    sign = GREATER
+    for x, y in zip(a, b):
+        if x != y:
+            return sign if x > y else -sign
+        sign = -sign
+    if len(a) == len(b):
+        return EQUAL
+    return sign if len(a) > len(b) else -sign
 
 
 def right_sequence(a: AlphaSeq, i: int) -> AlphaSeq:
@@ -70,6 +71,14 @@ def is_lexical(a: AlphaSeq) -> bool:
 
     Sequences of length at most one are lexical, the zero sequence included.
     """
+    return _is_lexical(tuple(a))  # the cache needs a hashable key; a list is accepted too
+
+
+# Lexicality of an immutable tuple never changes, so the cache is exact. A walk
+# tests each winning rewrite and then re-validates it as the next step's input;
+# the second test is a lookup. 64 entries cover one step's probes many times over.
+@lru_cache(maxsize=64)
+def _is_lexical(a: AlphaSeq) -> bool:
     return all(compare(a, a[i:]) == GREATER for i in range(1, len(a)))
 
 

@@ -9,27 +9,13 @@ validated eagerly, before the generator is handed out.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 
 from .adjacency import predecessor_ln, successor_dn, successor_ln
+from .caps import ENUM_CAP
 from .cells import predecessor_an, successor_an
 from .core import AlphaSeq, SetContext, ZERO, harmonic, least_element, max_element, two_adic_split
-from .errors import CapExceeded, InvalidN, InvalidSeed
-
-DEFAULT_ENUM_CAP = 30
-
-
-def enum_cap() -> int:
-    return int(os.environ.get("ALPHASEQ_ENUM_CAP", DEFAULT_ENUM_CAP))
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
-    cap = enum_cap()
-    if n > cap:
-        raise CapExceeded(f"n={n} above enumeration cap {cap}")
+from .errors import InvalidSeed
 
 
 def _min_an(n: int) -> AlphaSeq:
@@ -43,7 +29,7 @@ def enumerate_an(n: int, seed: AlphaSeq | None = None) -> Iterator[AlphaSeq]:
     buffering what it passes; the default seed is the minimum itself, which
     keeps memory bounded by the current sequence.
     """
-    _check_n(n)
+    ENUM_CAP.check(n)
     if seed is None:
         seed = _min_an(n)
     elif not SetContext("A", n).contains(seed):
@@ -68,7 +54,7 @@ def _walk_an(n: int, seed: AlphaSeq) -> Iterator[AlphaSeq]:
 
 def enumerate_an_descending(n: int) -> Iterator[AlphaSeq]:
     """A_n in descending order, from (n) down to (1, n-1)."""
-    _check_n(n)
+    ENUM_CAP.check(n)
     return _walk_an_descending(n)
 
 
@@ -83,7 +69,7 @@ def _walk_an_descending(n: int) -> Iterator[AlphaSeq]:
 
 def enumerate_ln(n: int) -> Iterator[AlphaSeq]:
     """L_n in ascending order, from the least element to (n-1)."""
-    _check_n(n)
+    ENUM_CAP.check(n)
     return _walk_ln(n)
 
 
@@ -98,7 +84,7 @@ def _walk_ln(n: int) -> Iterator[AlphaSeq]:
 
 def enumerate_ln_descending(n: int) -> Iterator[AlphaSeq]:
     """L_n in descending order via reverse steps, from (n-1) down."""
-    _check_n(n)
+    ENUM_CAP.check(n)
     return _walk_ln_descending(n)
 
 
@@ -119,7 +105,7 @@ def enumerate_dn(n: int) -> Iterator[AlphaSeq]:
     L_n successor bursts, which insert the lower-class elements exactly where
     they belong.
     """
-    _check_n(n)
+    ENUM_CAP.check(n)
     return _walk_dn(n)
 
 

@@ -1,32 +1,19 @@
 """Brute-force ground truth: exhaustive generation, definitional filtering, sorting.
 
 Nothing here knows about the adjacency machinery. The only shared logic is the
-comparator and the definitional lexicality test (restated locally against
-plain suffixes), so the oracle stays an independent route to the same sets.
+comparator, the definitional lexicality test (restated locally against plain
+suffixes) and the cap reader, so the oracle stays an independent route to the
+same sets.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cmp_to_key
 
+from .caps import ORACLE_CAP
 from .core import GREATER, AlphaSeq, ZERO, compare
-from .errors import CapExceeded, InvalidN, NotInSet
-
-DEFAULT_ORACLE_CAP = 20
-
-
-def oracle_cap() -> int:
-    return int(os.environ.get("ALPHASEQ_ORACLE_CAP", DEFAULT_ORACLE_CAP))
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
-    cap = oracle_cap()
-    if n > cap:
-        raise CapExceeded(f"n={n} above oracle cap {cap}")
+from .errors import InvalidN, NotInSet
 
 
 def _lexical(a: AlphaSeq) -> bool:
@@ -36,7 +23,7 @@ def _lexical(a: AlphaSeq) -> bool:
 
 def all_compositions(n: int) -> list[AlphaSeq]:
     """All 2**(n-1) ordered compositions of n into parts >= 1 (generation order)."""
-    _check_n(n)
+    ORACLE_CAP.check(n)
     out: list[AlphaSeq] = []
 
     def rec(remaining: int, prefix: list[int]) -> None:
@@ -125,7 +112,7 @@ def verify_range(n_min: int, n_max: int) -> list[OracleReport]:
 
     if n_min < 1 or n_min > n_max:
         raise InvalidN(f"bad range [{n_min}, {n_max}]")
-    _check_n(n_max)
+    ORACLE_CAP.check(n_max)
     reports = []
     for n in range(n_min, n_max + 1):
         for kind, oracle_fn, enum_fn in (

@@ -20,6 +20,7 @@ from alphaseq.core import (
     is_lexical,
     power,
 )
+from alphaseq.enumeration import enumerate_ln, enumerate_ln_descending
 from alphaseq.errors import Maximal, Minimal, NoDecomposition, NotInSet
 from alphaseq.oracle import oracle_ln
 
@@ -62,6 +63,46 @@ def test_star_factorization_reconstructs():
             assert 1 + degree(fac.g) == fac.m
             assert fac.m * fac.d == n and fac.d >= 2
             assert star(fac.g, fac.lam) == a
+
+
+def _star_factorize_unpruned(a, n):
+    """star_factorize without the prefix-degree precheck: every odd prefix is tried."""
+    from alphaseq.adjacency import _invert_extend_odd
+    from alphaseq.core import is_fundamental, least_element, star
+
+    best = None
+    for plen in range(1, len(a) + 1, 2):
+        g = _invert_extend_odd(a[:plen])
+        if not g or not is_lexical(g) or not is_fundamental(g):
+            continue
+        m = 1 + degree(g)
+        if m >= n or n % m != 0:
+            continue
+        lam = least_element(n // m)
+        if star(g, lam) == a and (best is None or (m, len(g)) > (best.m, len(best.g))):
+            best = StarFactorization(g, m, lam, n // m)
+    if best is None and n >= 2 and a == least_element(n):
+        return StarFactorization(ZERO, 1, a, n)
+    return best
+
+
+def test_star_factorize_matches_the_unpruned_loop():
+    for n in range(1, 17):
+        for a in oracle_ln(n):
+            assert star_factorize(a, n) == _star_factorize_unpruned(a, n), (n, a)
+
+
+def test_memoized_lexicality_keeps_membership():
+    # the walks fill the lexicality cache with members of L_7 and L_8; a member
+    # of L_7 is lexical but has the wrong degree for L_8
+    for n in (7, 8):
+        assert list(enumerate_ln(n)) == oracle_ln(n)
+        assert list(enumerate_ln_descending(n)) == oracle_ln(n)[::-1]
+    a = (3, 1, 2)
+    assert is_lexical(a)
+    for step in (successor_ln, predecessor_ln, star_factorize, successor_dn):
+        with pytest.raises(NotInSet):
+            step(a, 8)
 
 
 def test_predecessor_tail_examples():

@@ -66,6 +66,18 @@ def test_list_cap(capsys, monkeypatch):
     assert code == 0 and out == "1,30\n"
 
 
+@pytest.mark.parametrize("variable, argv", [
+    ("ALPHASEQ_ENUM_CAP", ("list", "--set", "ln", "5")),
+    ("ALPHASEQ_ORACLE_CAP", ("verify", "1", "3")),
+])
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_malformed_cap_is_a_domain_error(capsys, monkeypatch, variable, argv, value):
+    monkeypatch.setenv(variable, value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"alphaseq: {variable} must be a positive integer, got {value!r}\n"
+
+
 def test_succ(capsys):
     assert run(capsys, "succ", "--set", "ln", "11", "3,2,3,2") == (0, "3,1,1,3,2\n", "")
     assert run(capsys, "succ", "--set", "an", "4", "1,1,1,1") == (0, "1,1,2\n", "")

@@ -27,7 +27,7 @@ from alphaseq.core import (
     two_adic_split,
 )
 from alphaseq.errors import InvalidN, PrefixAmbiguity, UndefinedOperation
-from alphaseq.oracle import all_compositions, oracle_ln
+from alphaseq.oracle import oracle_ln
 
 from conftest import nonempty_sequences, sequences, sequences_up_to_degree
 
@@ -41,6 +41,9 @@ from conftest import nonempty_sequences, sequences, sequences_up_to_degree
         ((3, 1, 2, 1), (3, 1, 2, 1), EQUAL),
         ((3,), (2, 1), GREATER),
         (ZERO, ZERO, EQUAL),
+        ((3,), (3, 1), GREATER),  # left factor of odd length: the longer one is below
+        ((3, 1), (3, 1, 2), LESS),  # left factor of even length: the longer one is above
+        ((3, 1, 2), (3, 1), GREATER),
     ],
 )
 def test_compare_examples(a, b, expected):
@@ -48,13 +51,13 @@ def test_compare_examples(a, b, expected):
 
 
 def test_compare_is_the_position_order_exhaustively():
-    # a consistent strict total order: compare agrees with rank in the sorted list
-    for n in range(1, 9):
-        ordered = sorted(all_compositions(n), key=order_key)
-        for i, a in enumerate(ordered):
-            for j, b in enumerate(ordered):
-                want = LESS if i < j else GREATER if i > j else EQUAL
-                assert compare(a, b) == want
+    # a consistent strict total order: compare agrees with rank in the sorted
+    # list, across degrees too, so left-factor pairs of both parities are in
+    ordered = sorted(sequences_up_to_degree(8), key=order_key)
+    for i, a in enumerate(ordered):
+        for j, b in enumerate(ordered):
+            want = LESS if i < j else GREATER if i > j else EQUAL
+            assert compare(a, b) == want
 
 
 @given(sequences, sequences)
@@ -94,6 +97,7 @@ def test_right_sequence():
         ((3, 1, 3), False),
         (ZERO, True),
         ((1,), True),
+        ([2, 1, 2, 1], True),  # any sequence type, though lexicality is cached
     ],
 )
 def test_is_lexical_examples(a, expected):
