@@ -8,120 +8,26 @@ steps, and ships an independent brute-force oracle that certifies every
 enumerated ordering at desk scale.
 """
 
-from .adjacency import (
-    StarFactorization,
-    predecessor_ln,
-    predecessor_tail,
-    star_factorize,
-    successor_dn,
-    successor_is_direct,
-    successor_ln,
-)
-from .cells import (
-    CellRef,
-    apply_at,
-    conjugate,
-    lexical_predecessor_candidate,
-    lexical_successor_candidate,
-    predecessor_an,
-    split,
-    successor_an,
-)
-from .core import (
-    EQUAL,
-    GREATER,
-    LESS,
-    ZERO,
-    AlphaSeq,
-    SetContext,
-    compare,
-    concat,
-    degree,
-    extend_even,
-    extend_odd,
-    format_sequence,
-    harmonic,
-    is_fundamental,
-    is_lexical,
-    least_element,
-    max_element,
-    meet,
-    order_key,
-    parse_sequence,
-    power,
-    right_sequence,
-    star,
-    two_adic_split,
-)
-from .enumeration import (
-    enumerate_an,
-    enumerate_an_descending,
-    enumerate_dn,
-    enumerate_ln,
-    enumerate_ln_descending,
-)
-from .oracle import (
-    OracleReport,
-    all_compositions,
-    oracle_adjacent,
-    oracle_an,
-    oracle_dn,
-    oracle_ln,
-    verify_range,
-)
+from .adjacency import predecessor_ln, successor_dn, successor_ln
+from .core import compare, harmonic, is_lexical, least_element, meet, star
+from .enumeration import enumerate_an, enumerate_dn, enumerate_ln
+from .oracle import oracle_ln, verify_range
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaSeq",
-    "CellRef",
-    "EQUAL",
-    "GREATER",
-    "LESS",
-    "OracleReport",
-    "SetContext",
-    "StarFactorization",
-    "ZERO",
-    "all_compositions",
-    "apply_at",
     "compare",
-    "concat",
-    "conjugate",
-    "degree",
-    "enumerate_an",
-    "enumerate_an_descending",
-    "enumerate_dn",
-    "enumerate_ln",
-    "enumerate_ln_descending",
-    "extend_even",
-    "extend_odd",
-    "format_sequence",
-    "harmonic",
-    "is_fundamental",
     "is_lexical",
-    "least_element",
-    "lexical_predecessor_candidate",
-    "lexical_successor_candidate",
-    "max_element",
     "meet",
-    "oracle_adjacent",
-    "oracle_an",
-    "oracle_dn",
-    "oracle_ln",
-    "order_key",
-    "parse_sequence",
-    "power",
-    "predecessor_an",
-    "predecessor_ln",
-    "predecessor_tail",
-    "right_sequence",
-    "split",
     "star",
-    "star_factorize",
-    "successor_an",
-    "successor_dn",
-    "successor_is_direct",
+    "harmonic",
+    "least_element",
     "successor_ln",
-    "two_adic_split",
+    "predecessor_ln",
+    "successor_dn",
+    "enumerate_an",
+    "enumerate_ln",
+    "enumerate_dn",
+    "oracle_ln",
     "verify_range",
 ]

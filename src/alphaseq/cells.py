@@ -8,21 +8,8 @@ length while preserving the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import AlphaSeq, format_sequence, is_lexical
 from .errors import Maximal, Minimal, NoCandidate, NotConjugatable, NotSplittable
-
-
-@dataclass(frozen=True)
-class CellRef:
-    """A 1-based cell position; the sign is derived from the parity."""
-
-    index: int
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.index % 2 == 1 else -1
 
 
 def _check_index(a: AlphaSeq, i: int) -> None:

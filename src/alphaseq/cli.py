@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: list, succ, pred, lexical, compare, meet, star, harmonic,
-least, verify, bench. Sequences are written as comma-separated positive
+least, verify. Sequences are written as comma-separated positive
 integers ("3,1,2,1"); the zero sequence is the literal "0". Exit codes:
 0 success, 1 usage error, 2 domain error, 3 verification mismatch.
 """
@@ -12,8 +12,6 @@ import argparse
 import csv
 import json
 import sys
-import time
-from dataclasses import dataclass
 from itertools import islice
 
 from . import enumeration, oracle
@@ -41,24 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class OutputRecord:
-    """JSON shape of a listed set: the zero sequence is the empty array."""
-
-    n: int
-    set_name: str
-    items: list[list[int]]
-
-    def to_json(self) -> str:
-        record = {
-            "n": self.n,
-            "set": self.set_name,
-            "count": len(self.items),
-            "items": self.items,
-        }
-        return json.dumps(record, separators=(",", ":"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,10 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
 
-    p = sub.add_parser("bench", help="time adjacency-driven L_n against the oracle")
-    p.add_argument("n", type=int)
-    p.add_argument("--repeat", type=int, default=1, metavar="R")
-
     return parser
 
 
@@ -131,11 +107,12 @@ def _list_stream(set_name: str, n: int, desc: bool):
 
 
 def _cmd_list(args) -> int:
+    # checked before the stream is built: the descending dn stream builds all of D_n
+    if args.limit is not None and args.limit < 0:
+        print("alphaseq: error: --limit must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     stream = _list_stream(args.set_name, args.n, args.desc)
     if args.limit is not None:
-        if args.limit < 0:
-            print("alphaseq: error: --limit must be >= 0", file=sys.stderr)
-            return EXIT_USAGE
         stream = islice(stream, args.limit)
     if args.format == "text":
         for seq in stream:
@@ -145,8 +122,10 @@ def _cmd_list(args) -> int:
         for seq in stream:
             writer.writerow(seq if seq else (0,))
     else:
+        # the zero sequence is the empty array
         items = [list(seq) for seq in stream]
-        print(OutputRecord(args.n, args.set_name, items).to_json())
+        record = {"n": args.n, "set": args.set_name, "count": len(items), "items": items}
+        print(json.dumps(record, separators=(",", ":")))
     return EXIT_OK
 
 
@@ -197,31 +176,6 @@ def _cmd_verify(args) -> int:
     return worst
 
 
-def _cmd_bench(args) -> int:
-    repeat = max(1, args.repeat)
-
-    def best_of(fn):
-        best, result = None, None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None else min(best, elapsed)
-        return best, result
-
-    enum_t, enum_items = best_of(lambda: list(enumeration.enumerate_ln(args.n)))
-    oracle_t, oracle_items = best_of(lambda: oracle.oracle_ln(args.n))
-    agree = "agree" if enum_items == oracle_items else "DISAGREE"
-    for name, t, count in (
-        ("adjacency walk", enum_t, len(enum_items)),
-        ("oracle filter+sort", oracle_t, len(oracle_items)),
-    ):
-        rate = count / t if t > 0 else float("inf")
-        print(f"L_{args.n} {name}: {count} elements in {t:.3f}s ({rate:,.0f}/s)")
-    print(f"outputs {agree}; speedup x{oracle_t / enum_t:.1f} (best of {repeat})")
-    return EXIT_OK if agree == "agree" else EXIT_MISMATCH
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse and execute one command line; returns the exit code."""
     parser = _build_parser()
@@ -260,8 +214,6 @@ def run(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         raise AssertionError(f"unhandled command {args.command}")
     except (AlphaSequenceError, IndexError, ValueError) as exc:
         print(f"alphaseq: {exc}", file=sys.stderr)

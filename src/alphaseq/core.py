@@ -59,13 +59,6 @@ def compare(a: AlphaSeq, b: AlphaSeq) -> int:
     return sign if len(a) > len(b) else -sign
 
 
-def right_sequence(a: AlphaSeq, i: int) -> AlphaSeq:
-    """Suffix (a_i, ..., a_k) for a 1-based position i."""
-    if not 1 <= i <= len(a):
-        raise IndexError(f"position {i} out of range for length {len(a)}")
-    return a[i - 1:]
-
-
 def is_lexical(a: AlphaSeq) -> bool:
     """True if ``a`` is strictly above each of its proper suffixes.
 
@@ -95,11 +88,6 @@ def meet(a: AlphaSeq, b: AlphaSeq) -> AlphaSeq:
         if x != y:
             return a[:i] + (min(x, y),)
     raise PrefixAmbiguity(f"{a} is a left factor of {b}; meet undefined")
-
-
-def concat(a: AlphaSeq, b: AlphaSeq) -> AlphaSeq:
-    """Concatenation; the zero sequence is the identity."""
-    return a + b
 
 
 def power(a: AlphaSeq, q: int) -> AlphaSeq:
@@ -182,6 +170,14 @@ def two_adic_split(n: int) -> tuple[int, int]:
 def least_element(n: int) -> AlphaSeq:
     """Minimum of L_n: with n = 2**l (2s+1), h_l of the zero sequence,
     star-multiplied by (2, 1^(2(s-1))) when s > 0."""
+    return _least_element(n)
+
+
+# A reverse step asks for least_element(n) twice (its minimum check and the
+# trivial star factorization), and both step directions ask for it at divisors
+# of n; as with _is_lexical, the result never changes, so the cache is exact.
+@lru_cache(maxsize=64)
+def _least_element(n: int) -> AlphaSeq:
     l, s = two_adic_split(n)
     base = harmonic(l, ZERO)
     if s == 0:

@@ -15,39 +15,23 @@ from .adjacency import predecessor_ln, successor_dn, successor_ln
 from .caps import ENUM_CAP
 from .cells import predecessor_an, successor_an
 from .core import AlphaSeq, SetContext, ZERO, harmonic, least_element, max_element, two_adic_split
-from .errors import InvalidSeed
 
 
 def _min_an(n: int) -> AlphaSeq:
     return (1, n - 1) if n >= 2 else (1,)
 
 
-def enumerate_an(n: int, seed: AlphaSeq | None = None) -> Iterator[AlphaSeq]:
-    """All 2**(n-1) elements of A_n in ascending order.
-
-    With an explicit seed the walk first descends to the minimum (1, n-1),
-    buffering what it passes; the default seed is the minimum itself, which
-    keeps memory bounded by the current sequence.
-    """
+def enumerate_an(n: int) -> Iterator[AlphaSeq]:
+    """All 2**(n-1) elements of A_n in ascending order, from (1, n-1) up to (n)."""
     ENUM_CAP.check(n)
-    if seed is None:
-        seed = _min_an(n)
-    elif not SetContext("A", n).contains(seed):
-        raise InvalidSeed(f"{seed} is not a member of A_{n}")
-    return _walk_an(n, seed)
+    return _walk_an(n)
 
 
-def _walk_an(n: int, seed: AlphaSeq) -> Iterator[AlphaSeq]:
-    minimum = _min_an(n)
-    below = []
-    cur = seed
-    while cur != minimum:
-        cur = predecessor_an(cur)
-        below.append(cur)
-    yield from reversed(below)
-    yield seed
-    cur = seed
-    while len(cur) >= 2:
+def _walk_an(n: int) -> Iterator[AlphaSeq]:
+    cur = _min_an(n)
+    top = (n,)
+    yield cur
+    while cur != top:
         cur = successor_an(cur)
         yield cur
 

@@ -46,10 +46,6 @@ class InvalidN(AlphaSequenceError):
     """The degree parameter n is out of range."""
 
 
-class InvalidSeed(AlphaSequenceError):
-    """An enumeration seed does not belong to the requested set."""
-
-
 class CapExceeded(AlphaSequenceError):
     """n is above the configured enumeration or oracle cap."""
 

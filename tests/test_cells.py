@@ -3,7 +3,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from alphaseq.cells import (
-    CellRef,
     apply_at,
     conjugate,
     lexical_predecessor_candidate,
@@ -17,12 +16,6 @@ from alphaseq.errors import Maximal, Minimal, NotConjugatable, NotSplittable
 from alphaseq.oracle import oracle_an
 
 from conftest import nonempty_sequences, sequences_up_to_degree
-
-
-def test_cell_ref_sign():
-    assert CellRef(1).sign == 1
-    assert CellRef(2).sign == -1
-    assert CellRef(5).sign == 1
 
 
 def test_split_examples():

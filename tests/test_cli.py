@@ -38,6 +38,15 @@ def test_list_desc(capsys):
     assert out == "4\n3,1\n"
 
 
+def test_list_checks_limit_before_walking(capsys, monkeypatch):
+    def walk(n):
+        raise AssertionError("the stream was built before --limit was checked")
+
+    monkeypatch.setattr(cli.enumeration, "enumerate_dn", walk)
+    code, out, err = run(capsys, "list", "--set", "dn", "22", "--desc", "--limit", "-1")
+    assert (code, out, err) == (1, "", "alphaseq: error: --limit must be >= 0\n")
+
+
 def test_list_json_round_trips(capsys):
     code, out, _ = run(capsys, "list", "--set", "dn", "8", "--format", "json")
     assert code == 0
@@ -139,6 +148,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "lexical", "3,x")[0] == 1
     assert run(capsys, "lexical", "3,0,1")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
+    assert run(capsys, "bench", "8")[0] == 1
     assert cli.run([]) == 1
 
 
@@ -159,9 +169,3 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert "MISMATCH at position 1" in out
     assert "expected 2,2, got 1,1,2" in out
 
-
-def test_bench_smoke(capsys):
-    code, out, _ = run(capsys, "bench", "8", "--repeat", "2")
-    assert code == 0
-    assert "outputs agree" in out
-    assert "adjacency walk" in out and "oracle filter+sort" in out

@@ -8,7 +8,6 @@ from alphaseq.core import (
     ZERO,
     SetContext,
     compare,
-    concat,
     degree,
     extend_even,
     extend_odd,
@@ -22,7 +21,6 @@ from alphaseq.core import (
     order_key,
     parse_sequence,
     power,
-    right_sequence,
     star,
     two_adic_split,
 )
@@ -79,15 +77,6 @@ def test_compare_transitive(a, b, c):
         assert compare(a, c) == LESS
 
 
-def test_right_sequence():
-    assert right_sequence((3, 1, 2, 1), 1) == (3, 1, 2, 1)
-    assert right_sequence((3, 1, 2, 1), 3) == (2, 1)
-    with pytest.raises(IndexError):
-        right_sequence((3, 1, 2, 1), 5)
-    with pytest.raises(IndexError):
-        right_sequence((3, 1, 2, 1), 0)
-
-
 @pytest.mark.parametrize(
     "a, expected",
     [
@@ -132,9 +121,8 @@ def test_meet_symmetric_and_prefixed(a, b):
 
 
 def test_concat_and_power():
-    assert concat((3, 1), (2, 1)) == (3, 1, 2, 1)
-    assert concat((2, 2), ZERO) == (2, 2)
-    assert concat(ZERO, (2, 2)) == (2, 2)
+    assert power((3, 1), 2) == (3, 1) + (3, 1)
+    assert power(ZERO, 4) == ZERO
     assert power((1,), 3) == (1, 1, 1)
     assert power((2, 1), 0) == ZERO
     with pytest.raises(ValueError):
@@ -177,13 +165,13 @@ def test_star_examples():
 
 
 def test_degree_laws_exhaustive():
-    # concat adds degrees; star and harmonic are multiplicative on 1 + degree
+    # concatenation adds degrees; star and harmonic are multiplicative on 1 + degree
     pool = sequences_up_to_degree(8)
     for a in pool:
         for j in range(5):
             assert 1 + degree(harmonic(j, a)) == 2**j * (1 + degree(a))
         for b in pool:
-            assert degree(concat(a, b)) == degree(a) + degree(b)
+            assert degree(a + b) == degree(a) + degree(b)
             assert 1 + degree(star(a, b)) == (1 + degree(a)) * (1 + degree(b))
 
 

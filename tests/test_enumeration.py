@@ -10,7 +10,7 @@ from alphaseq.enumeration import (
     enumerate_ln,
     enumerate_ln_descending,
 )
-from alphaseq.errors import CapExceeded, InvalidN, InvalidSeed
+from alphaseq.errors import CapExceeded, InvalidN
 from alphaseq.oracle import oracle_an, oracle_dn, oracle_ln
 
 A4 = [(1, 3), (1, 2, 1), (1, 1, 1, 1), (1, 1, 2), (2, 2), (2, 1, 1), (3, 1), (4,)]
@@ -53,6 +53,7 @@ D8 = [
 
 def test_golden_a4():
     assert list(enumerate_an(4)) == A4
+    assert list(enumerate_an(1)) == [(1,)]
 
 
 def test_golden_l7():
@@ -61,19 +62,6 @@ def test_golden_l7():
 
 def test_golden_d8():
     assert list(enumerate_dn(8)) == D8
-
-
-def test_an_from_any_seed():
-    assert list(enumerate_an(4, seed=(1, 1, 1, 1))) == A4
-    assert list(enumerate_an(4, seed=(4,))) == A4
-    assert list(enumerate_an(1)) == [(1,)]
-
-
-def test_an_invalid_seed():
-    with pytest.raises(InvalidSeed):
-        enumerate_an(4, seed=(2, 3))
-    with pytest.raises(InvalidSeed):
-        enumerate_an(4, seed=ZERO)
 
 
 def test_small_ln():

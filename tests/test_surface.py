@@ -1,0 +1,32 @@
+import ast
+import re
+from pathlib import Path
+
+import alphaseq
+from alphaseq.oracle import oracle_ln
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_block():
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_imports_are_the_public_names():
+    imports = ast.parse(library_block()).body[0]
+    assert isinstance(imports, ast.ImportFrom) and imports.module == "alphaseq"
+    assert [alias.name for alias in imports.names] == alphaseq.__all__
+
+
+def test_readme_examples_return_the_commented_values():
+    block = library_block()
+    namespace = {}
+    exec(block, namespace)  # the import, then the examples as bare expressions
+    examples = [line.split("#", 1) for line in block.splitlines() if "#" in line]
+    results = [eval(code, namespace) for code, _ in examples]
+    notes = [note.strip() for _, note in examples]
+    assert results[0] == ast.literal_eval(notes[0])
+    assert results[1] == ast.literal_eval(notes[1].partition(" via ")[0])
+    assert notes[2] == "the nine members of L_7, ascending"
+    assert results[2] == oracle_ln(7) and len(results[2]) == 9
