@@ -7,7 +7,8 @@ which case the adjacent successor is star(f, least_element(n // m)). The
 reverse step inverts this: a sequence of the form star(g, least_element(d))
 with g fundamental steps down to extend_even(g)^(d-1) followed by a
 companion tail built from the structure of g; anything else steps down by a
-positive-cell rewrite.
+positive-cell rewrite. That g is the meet f of the forward step, so the
+reverse D_n step reads the harmonics of f off the same factorization.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
         if n % m != 0:
             continue
         g = _invert_extend_odd(a[:plen])
-        if not g:
+        # star(g, lam) ends with g: one slice comparison rejects most prefixes
+        if not g or a[len(a) - len(g):] != g:
             continue
         if not is_lexical(g) or not is_fundamental(g):
             continue
@@ -198,13 +200,41 @@ def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
     return cand
 
 
-def predecessor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
-    """Adjacent predecessor of ``a`` in L_n."""
-    _require_ln(a, n)
+def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
+    """Adjacent predecessor in L_n and the star factorization it was read from."""
+    # least_element(n) is a member of L_n and raises InvalidN for n < 1, so the
+    # Minimal check may come first; star_factorize then validates ``a`` once
     if a == least_element(n):
         raise Minimal(f"{format_sequence(a)} is the minimal element of L_{n}")
     fac = star_factorize(a, n)
-    if fac is not None and not fac.trivial:
-        return power(extend_even(fac.g), fac.d - 1) + predecessor_tail(fac.g, fac.m)
+    # a is not the least element, so a factorization found here is non-trivial
+    if fac is not None:
+        return power(extend_even(fac.g), fac.d - 1) + predecessor_tail(fac.g, fac.m), fac
     cand, _ = lexical_predecessor_candidate(a)
-    return cand
+    return cand, None
+
+
+def predecessor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
+    """Adjacent predecessor of ``a`` in L_n."""
+    pred, _ = _predecessor_parts(a, n)
+    return pred
+
+
+def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
+    """All elements of D_n between ``a`` (exclusive) and the previous L_n
+    element (inclusive), in descending order: the inverse of successor_dn.
+
+    When ``a`` = star(g, least_element(d)) with d = 2**k (2t+1), the forward
+    step into ``a`` was resonant with meet g, so h_k(g), ..., h_0(g) come
+    before the L_n predecessor; h_k(g) is ``a`` itself when t = 0 and is
+    skipped. Otherwise the burst is the L_n predecessor alone.
+    """
+    pred, fac = _predecessor_parts(a, n)
+    if fac is None:
+        return [pred]
+    k, _ = two_adic_split(fac.d)
+    chain = [harmonic(j, fac.g) for j in range(k, -1, -1)]
+    if chain[0] == a:
+        del chain[0]
+    chain.append(pred)
+    return chain

@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: list, succ, pred, lexical, compare, meet, star, harmonic,
-least, verify. Sequences are written as comma-separated positive
-integers ("3,1,2,1"); the zero sequence is the literal "0". Exit codes:
-0 success, 1 usage error, 2 domain error, 3 verification mismatch.
+least, verify. ``succ --set dn`` and ``pred --set dn`` print the whole
+insertion burst of one L_n step, one element per line. Sequences are
+written as comma-separated positive integers ("3,1,2,1"); the zero
+sequence is the literal "0". Exit codes: 0 success, 1 usage error,
+2 domain error, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from itertools import islice
 
 from . import enumeration, oracle
-from .adjacency import predecessor_ln, successor_dn, successor_ln
+from .adjacency import predecessor_dn, predecessor_ln, successor_dn, successor_ln
 from .cells import predecessor_an, successor_an
 from .core import (
     SetContext,
@@ -57,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("seq", type=parse_sequence)
 
-    p = sub.add_parser("pred", help="one adjacency step down")
-    p.add_argument("--set", dest="set_name", choices=("an", "ln"), required=True)
+    p = sub.add_parser("pred", help="one adjacency step down (dn: the full insertion burst)")
+    p.add_argument("--set", dest="set_name", choices=("an", "ln", "dn"), required=True)
     p.add_argument("n", type=int)
     p.add_argument("seq", type=parse_sequence)
 
@@ -102,12 +104,11 @@ def _list_stream(set_name: str, n: int, desc: bool):
         return enumeration.enumerate_an_descending(n)
     if set_name == "ln":
         return enumeration.enumerate_ln_descending(n)
-    # no reverse walk exists for dn; materialize and flip
-    return reversed(list(enumeration.enumerate_dn(n)))
+    return enumeration.enumerate_dn_descending(n)
 
 
 def _cmd_list(args) -> int:
-    # checked before the stream is built: the descending dn stream builds all of D_n
+    # checked before the stream is built: a bad --limit is a usage error whatever n is
     if args.limit is not None and args.limit < 0:
         print("alphaseq: error: --limit must be >= 0", file=sys.stderr)
         return EXIT_USAGE
@@ -145,8 +146,11 @@ def _cmd_pred(args) -> int:
     if args.set_name == "an":
         _require_member(SetContext("A", args.n), args.seq)
         print(format_sequence(predecessor_an(args.seq)))
-    else:
+    elif args.set_name == "ln":
         print(format_sequence(predecessor_ln(args.seq, args.n)))
+    else:
+        for seq in predecessor_dn(args.seq, args.n):
+            print(format_sequence(seq))
     return EXIT_OK
 
 

@@ -4,14 +4,16 @@ All streams are lazy generators (a stream over A_30 has about 5 * 10**8
 elements, so callers must be able to take prefixes). A generator is the
 cursor: single-owner, constant state, not safe to advance concurrently,
 while independent generators over the same n never interact. Arguments are
-validated eagerly, before the generator is handed out.
+validated eagerly, before the generator is handed out. Every set walks both
+ways by single steps; the descending D_n walk takes the reverse L_n step's
+bursts, so no walk holds more than one burst in memory.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .adjacency import predecessor_ln, successor_dn, successor_ln
+from .adjacency import predecessor_dn, predecessor_ln, successor_dn, successor_ln
 from .caps import ENUM_CAP
 from .cells import predecessor_an, successor_an
 from .core import AlphaSeq, SetContext, ZERO, harmonic, least_element, max_element, two_adic_split
@@ -105,3 +107,27 @@ def _walk_dn(n: int) -> Iterator[AlphaSeq]:
         burst = successor_dn(cur, n)
         yield from burst
         cur = burst[-1]
+
+
+def enumerate_dn_descending(n: int) -> Iterator[AlphaSeq]:
+    """D_n in descending order, from (n-1) down.
+
+    Walks L_n predecessor bursts down to the least element of L_n, then
+    yields the harmonics of the zero sequence below it, the highest first.
+    """
+    ENUM_CAP.check(n)
+    return _walk_dn_descending(n)
+
+
+def _walk_dn_descending(n: int) -> Iterator[AlphaSeq]:
+    cur = max_element(SetContext("D", n))
+    bottom = least_element(n)
+    yield cur
+    while cur != bottom:
+        burst = predecessor_dn(cur, n)
+        yield from burst
+        cur = burst[-1]
+    l, s = two_adic_split(n)
+    # for s = 0 the least element is h_l of the zero sequence, already yielded
+    for j in reversed(range(l + 1 if s > 0 else l)):
+        yield harmonic(j, ZERO)

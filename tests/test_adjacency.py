@@ -3,6 +3,7 @@ import pytest
 from alphaseq.adjacency import (
     StarFactorization,
     _successor_parts,
+    predecessor_dn,
     predecessor_ln,
     predecessor_tail,
     star_factorize,
@@ -21,7 +22,7 @@ from alphaseq.core import (
     power,
 )
 from alphaseq.enumeration import enumerate_ln, enumerate_ln_descending
-from alphaseq.errors import Maximal, Minimal, NoDecomposition, NotInSet
+from alphaseq.errors import InvalidN, Maximal, Minimal, NoDecomposition, NotInSet
 from alphaseq.oracle import oracle_ln
 
 
@@ -123,6 +124,32 @@ def test_predecessor_ln_examples():
     assert predecessor_ln((4, 2, 1), 8) == (4, 3)
     with pytest.raises(Minimal):
         predecessor_ln((2, 1, 1, 2, 1), 8)
+
+
+@pytest.mark.parametrize("a, n, error, message", [
+    ((4, 3), 12, NotInSet, "4,3 is not a member of L_12"),
+    ((2, 3), 6, NotInSet, "2,3 is not a member of L_6"),
+    ((4, 3), 0, InvalidN, "n must be >= 1, got 0"),
+    ((4, 3), -1, InvalidN, "n must be >= 1, got -1"),
+    ((2, 1, 1, 2, 1), 8, Minimal, "2,1,1,2,1 is the minimal element of L_8"),
+])
+def test_reverse_step_errors(a, n, error, message):
+    # the Minimal check runs before star_factorize validates the input; the
+    # errors and their order are those of a validate-first step
+    steps = [predecessor_ln, predecessor_dn]
+    if error is not Minimal:
+        steps.append(star_factorize)
+    for step in steps:
+        with pytest.raises(error) as exc:
+            step(a, n)
+        assert str(exc.value) == message
+
+
+def test_predecessor_dn_inverts_successor_dn():
+    for n in range(1, 17):
+        for a in oracle_ln(n)[:-1]:
+            burst = successor_dn(a, n)
+            assert predecessor_dn(burst[-1], n) == burst[-2::-1] + [a], (n, a)
 
 
 def test_successor_dn_examples():

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from alphaseq import cli
-from alphaseq.oracle import OracleReport
+from alphaseq.core import format_sequence
+from alphaseq.oracle import OracleReport, oracle_dn
 
 L7_TEXT = "2,1,1,1,1\n2,1,2,1\n3,2,1\n3,1,1,1\n3,1,2\n4,2\n4,1,1\n5,1\n6\n"
 
@@ -42,9 +43,33 @@ def test_list_checks_limit_before_walking(capsys, monkeypatch):
     def walk(n):
         raise AssertionError("the stream was built before --limit was checked")
 
-    monkeypatch.setattr(cli.enumeration, "enumerate_dn", walk)
+    monkeypatch.setattr(cli.enumeration, "enumerate_dn_descending", walk)
     code, out, err = run(capsys, "list", "--set", "dn", "22", "--desc", "--limit", "-1")
     assert (code, out, err) == (1, "", "alphaseq: error: --limit must be >= 0\n")
+
+
+def test_list_dn_desc_streams_without_the_ascending_walk(capsys, monkeypatch):
+    def walk(n):
+        raise AssertionError("dn --desc built the ascending walk")
+
+    monkeypatch.setattr(cli.enumeration, "enumerate_dn", walk)
+    code, out, _ = run(capsys, "list", "--set", "dn", "20", "--desc", "--limit", "5")
+    assert code == 0
+    assert out == "".join(format_sequence(a) + "\n" for a in oracle_dn(20)[::-1][:5])
+
+
+def test_list_dn_desc_is_the_reversed_ascending_listing(capsys):
+    for n in range(1, 21):
+        argv = ("list", "--set", "dn", str(n))
+        for fmt in ("text", "csv"):
+            _, up, _ = run(capsys, *argv, "--format", fmt)
+            _, down, _ = run(capsys, *argv, "--desc", "--format", fmt)
+            assert down.splitlines(keepends=True) == up.splitlines(keepends=True)[::-1], (n, fmt)
+        _, up, _ = run(capsys, *argv, "--format", "json")
+        _, down, _ = run(capsys, *argv, "--desc", "--format", "json")
+        record = json.loads(up)
+        record["items"].reverse()
+        assert down == json.dumps(record, separators=(",", ":")) + "\n", n
 
 
 def test_list_json_round_trips(capsys):
@@ -113,10 +138,22 @@ def test_pred(capsys):
     assert "minimal" in err
 
 
-def test_pred_dn_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "pred", "--set", "dn", "8", "4,3")
-    assert code == 1
-    assert "invalid choice" in err
+def test_pred_dn(capsys):
+    # each burst runs from the member down to the previous member of L_8,
+    # through the lower-class elements of D_8 between them
+    d8 = oracle_dn(8)
+    members = [i for i, a in enumerate(d8) if 1 + sum(a) == 8]
+    for lo, hi in zip(members, members[1:]):
+        seq = format_sequence(d8[hi])
+        expected = "".join(format_sequence(a) + "\n" for a in d8[lo:hi][::-1])
+        assert run(capsys, "pred", "--set", "dn", "8", seq) == (0, expected, ""), seq
+    assert run(capsys, "pred", "--set", "dn", "8", "4,3") == (0, "3\n3,1,2,1\n", "")
+    code, _, err = run(capsys, "pred", "--set", "dn", "8", "2,1,1,2,1")
+    assert code == 2
+    assert "minimal" in err
+    code, _, err = run(capsys, "pred", "--set", "dn", "8", "3")
+    assert code == 2
+    assert "not a member of L_8" in err
 
 
 def test_lexical(capsys):

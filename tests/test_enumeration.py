@@ -7,6 +7,7 @@ from alphaseq.enumeration import (
     enumerate_an,
     enumerate_an_descending,
     enumerate_dn,
+    enumerate_dn_descending,
     enumerate_ln,
     enumerate_ln_descending,
 )
@@ -116,6 +117,8 @@ def test_descending_walks():
     for n in range(1, 11):
         assert list(enumerate_an_descending(n)) == list(reversed(oracle_an(n)))
         assert list(enumerate_ln_descending(n)) == list(reversed(oracle_ln(n)))
+    for n in range(1, 17):
+        assert list(enumerate_dn_descending(n)) == oracle_dn(n)[::-1]
 
 
 def test_streams_are_lazy():
