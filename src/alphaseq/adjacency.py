@@ -13,7 +13,6 @@ reverse D_n step reads the harmonics of f off the same factorization.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -35,9 +34,6 @@ from .core import (
     two_adic_split,
 )
 from .errors import InvalidN, Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
-
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class StarFactorization:
@@ -154,7 +150,6 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
         d = n // m
         lam = least_element(d)
         if star(g, lam) == a:
-            log.debug("star factorization of %s: g=%s m=%d d=%d", a, g, m, d)
             if best is None or (m, len(g)) > (best.m, len(best.g)):
                 best = StarFactorization(g, m, lam, d)
     if best is not None:

@@ -4,8 +4,9 @@ Subcommands: list, succ, pred, lexical, compare, meet, star, harmonic,
 least, verify. ``succ --set dn`` and ``pred --set dn`` print the whole
 insertion burst of one L_n step, one element per line. Sequences are
 written as comma-separated positive integers ("3,1,2,1"); the zero
-sequence is the literal "0". Exit codes: 0 success, 1 usage error,
-2 domain error, 3 verification mismatch.
+sequence is the literal "0". ``least``, ``harmonic`` and ``star`` refuse
+an output of more than ``MAX_CELLS`` cells as a domain error. Exit codes:
+0 success, 1 usage error, 2 domain error, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from . import enumeration, oracle
 from .adjacency import predecessor_dn, predecessor_ln, successor_dn, successor_ln
 from .cells import predecessor_an, successor_an
 from .core import (
-    SetContext,
+    AlphaSeq,
     compare,
+    degree,
     format_sequence,
     harmonic,
     least_element,
@@ -29,10 +31,15 @@ from .core import (
     is_lexical,
     parse_sequence,
     star,
+    two_adic_split,
 )
-from .errors import AlphaSequenceError
+from .errors import AlphaSequenceError, InvalidN, NotInSet
 
 EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_MISMATCH = 0, 1, 2, 3
+
+#: Most cells that ``least``, ``harmonic`` and ``star`` build. Their output
+#: length grows exponentially with the arguments, so it is computed first.
+MAX_CELLS = 2**22
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,58 +60,54 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--desc", action="store_true", help="descending order")
     p.add_argument("--limit", type=int, metavar="K", help="emit only the first K elements")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.set_defaults(run=_cmd_list)
 
-    p = sub.add_parser("succ", help="one adjacency step up (dn: the full insertion burst)")
-    p.add_argument("--set", dest="set_name", choices=("an", "ln", "dn"), required=True)
-    p.add_argument("n", type=int)
-    p.add_argument("seq", type=parse_sequence)
-
-    p = sub.add_parser("pred", help="one adjacency step down (dn: the full insertion burst)")
-    p.add_argument("--set", dest="set_name", choices=("an", "ln", "dn"), required=True)
-    p.add_argument("n", type=int)
-    p.add_argument("seq", type=parse_sequence)
+    for name, way in (("succ", "up"), ("pred", "down")):
+        p = sub.add_parser(name, help=f"one adjacency step {way} (dn: the full insertion burst)")
+        p.add_argument("--set", dest="set_name", choices=("an", "ln", "dn"), required=True)
+        p.add_argument("n", type=int)
+        p.add_argument("seq", type=parse_sequence)
+        p.set_defaults(run=_cmd_step)
 
     p = sub.add_parser("lexical", help="test lexicality")
     p.add_argument("seq", type=parse_sequence)
+    p.set_defaults(run=lambda args: _say("true" if is_lexical(args.seq) else "false"))
 
     p = sub.add_parser("compare", help="order two sequences")
     p.add_argument("a", type=parse_sequence)
     p.add_argument("b", type=parse_sequence)
+    p.set_defaults(run=lambda args: _say(("less", "equal", "greater")[compare(args.a, args.b) + 1]))
 
     p = sub.add_parser("meet", help="longest common left factor closure")
     p.add_argument("a", type=parse_sequence)
     p.add_argument("b", type=parse_sequence)
+    p.set_defaults(run=lambda args: _say(format_sequence(meet(args.a, args.b))))
 
     p = sub.add_parser("star", help="star product")
     p.add_argument("a", type=parse_sequence)
     p.add_argument("b", type=parse_sequence)
+    p.set_defaults(run=_cmd_star)
 
     p = sub.add_parser("harmonic", help="j-th harmonic")
     p.add_argument("j", type=int)
     p.add_argument("seq", type=parse_sequence)
+    p.set_defaults(run=_cmd_harmonic)
 
     p = sub.add_parser("least", help="least element of L_n")
     p.add_argument("n", type=int)
+    p.set_defaults(run=_cmd_least)
 
     p = sub.add_parser("verify", help="check enumeration against the brute-force oracle")
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
 
-def _list_stream(set_name: str, n: int, desc: bool):
-    if not desc:
-        if set_name == "an":
-            return enumeration.enumerate_an(n)
-        if set_name == "ln":
-            return enumeration.enumerate_ln(n)
-        return enumeration.enumerate_dn(n)
-    if set_name == "an":
-        return enumeration.enumerate_an_descending(n)
-    if set_name == "ln":
-        return enumeration.enumerate_ln_descending(n)
-    return enumeration.enumerate_dn_descending(n)
+def _say(line: str) -> int:
+    print(line)
+    return EXIT_OK
 
 
 def _cmd_list(args) -> int:
@@ -112,7 +115,9 @@ def _cmd_list(args) -> int:
     if args.limit is not None and args.limit < 0:
         print("alphaseq: error: --limit must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    stream = _list_stream(args.set_name, args.n, args.desc)
+    # read off the module at call time, so a rebound walk is the one that runs
+    walk = getattr(enumeration, f"enumerate_{args.set_name}{'_descending' if args.desc else ''}")
+    stream = walk(args.n)
     if args.limit is not None:
         stream = islice(stream, args.limit)
     if args.format == "text":
@@ -130,35 +135,73 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _cmd_succ(args) -> int:
-    if args.set_name == "an":
-        _require_member(SetContext("A", args.n), args.seq)
-        print(format_sequence(successor_an(args.seq)))
-    elif args.set_name == "ln":
-        print(format_sequence(successor_ln(args.seq, args.n)))
-    else:
-        for seq in successor_dn(args.seq, args.n):
-            print(format_sequence(seq))
+def _require_an(a: AlphaSeq, n: int) -> AlphaSeq:
+    """``a`` itself if it is a member of A_n; parsed cells are already positive."""
+    if n < 1:
+        raise InvalidN(f"n must be >= 1, got {n}")
+    if not a or degree(a) != n:
+        raise NotInSet(f"{format_sequence(a)} is not a member of A_{n}")
+    return a
+
+
+# (command, set) -> the burst of one step. The step functions are read from the
+# module globals when a lambda runs, so a rebinding reaches them.
+_STEPS = {
+    ("succ", "an"): lambda a, n: [successor_an(_require_an(a, n))],
+    ("pred", "an"): lambda a, n: [predecessor_an(_require_an(a, n))],
+    ("succ", "ln"): lambda a, n: [successor_ln(a, n)],
+    ("pred", "ln"): lambda a, n: [predecessor_ln(a, n)],
+    ("succ", "dn"): lambda a, n: successor_dn(a, n),
+    ("pred", "dn"): lambda a, n: predecessor_dn(a, n),
+}
+
+
+def _cmd_step(args) -> int:
+    for seq in _STEPS[args.command, args.set_name](args.seq, args.n):
+        print(format_sequence(seq))
     return EXIT_OK
 
 
-def _cmd_pred(args) -> int:
-    if args.set_name == "an":
-        _require_member(SetContext("A", args.n), args.seq)
-        print(format_sequence(predecessor_an(args.seq)))
-    elif args.set_name == "ln":
-        print(format_sequence(predecessor_ln(args.seq, args.n)))
-    else:
-        for seq in predecessor_dn(args.seq, args.n):
-            print(format_sequence(seq))
-    return EXIT_OK
+def _star_len(la: int, k: int, extra: int) -> int:
+    """len(star(a, b)) for len(a) == la, len(b) == k and sum(b) - len(b) == extra."""
+    # k blocks extend_odd(a) and extra blocks extend_even(a), then a; star((), b) is b
+    return k * (la + 1 - la % 2) + extra * (la + la % 2) + la
 
 
-def _require_member(ctx: SetContext, seq) -> None:
-    if not ctx.contains(seq):
-        raise AlphaSequenceError(
-            f"{format_sequence(seq)} is not a member of {ctx.kind}_{ctx.n}"
-        )
+def _harmonic_len(j: int, la: int) -> int:
+    """len(harmonic(j, a)) for len(a) == la; once past MAX_CELLS, the first length past it."""
+    for _ in range(j):
+        if la > MAX_CELLS:
+            break
+        la = 2 * la + 1 - la % 2  # extend_odd(x) + x
+    return la
+
+
+def _require_fits(cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise AlphaSequenceError(f"output would exceed {MAX_CELLS} cells")
+
+
+def _cmd_star(args) -> int:
+    a, b = args.a, args.b
+    _require_fits(_star_len(len(a), len(b), degree(b) - len(b)))
+    return _say(format_sequence(star(a, b)))
+
+
+def _cmd_harmonic(args) -> int:
+    if args.j < 0:
+        print("alphaseq: error: j must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
+    _require_fits(_harmonic_len(args.j, len(args.seq)))
+    return _say(format_sequence(harmonic(args.j, args.seq)))
+
+
+def _cmd_least(args) -> int:
+    # least_element(n) is h_l(0), star-multiplied by (2, 1^(2s-2)) when s > 0
+    l, s = two_adic_split(args.n)
+    cells = _harmonic_len(l, 0)
+    _require_fits(_star_len(cells, 2 * s - 1, 1) if s > 0 else cells)
+    return _say(format_sequence(least_element(args.n)))
 
 
 def _cmd_verify(args) -> int:
@@ -188,37 +231,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "succ":
-            return _cmd_succ(args)
-        if args.command == "pred":
-            return _cmd_pred(args)
-        if args.command == "lexical":
-            print("true" if is_lexical(args.seq) else "false")
-            return EXIT_OK
-        if args.command == "compare":
-            c = compare(args.a, args.b)
-            print("less" if c < 0 else "greater" if c > 0 else "equal")
-            return EXIT_OK
-        if args.command == "meet":
-            print(format_sequence(meet(args.a, args.b)))
-            return EXIT_OK
-        if args.command == "star":
-            print(format_sequence(star(args.a, args.b)))
-            return EXIT_OK
-        if args.command == "harmonic":
-            if args.j < 0:
-                print("alphaseq: error: j must be >= 0", file=sys.stderr)
-                return EXIT_USAGE
-            print(format_sequence(harmonic(args.j, args.seq)))
-            return EXIT_OK
-        if args.command == "least":
-            print(format_sequence(least_element(args.n)))
-            return EXIT_OK
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except (AlphaSequenceError, IndexError, ValueError) as exc:
         print(f"alphaseq: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

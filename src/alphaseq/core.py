@@ -209,14 +209,6 @@ class SetContext:
         return is_lexical(a) and self.n % (1 + degree(a)) == 0
 
 
-def max_element(ctx: SetContext) -> AlphaSeq:
-    """Maximum of the context set: (n) for A_n, (n-1) for L_n and D_n,
-    the zero sequence for L_1 and D_1."""
-    if ctx.kind == "A":
-        return (ctx.n,)
-    return (ctx.n - 1,) if ctx.n >= 2 else ZERO
-
-
 def parse_sequence(text: str) -> AlphaSeq:
     """Parse the canonical text form: comma-separated positive integers, or "0"."""
     t = text.strip()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from alphaseq import cli
-from alphaseq.core import format_sequence
+from alphaseq.core import format_sequence, harmonic, least_element, parse_sequence, star
 from alphaseq.oracle import OracleReport, oracle_dn
 
 L7_TEXT = "2,1,1,1,1\n2,1,2,1\n3,2,1\n3,1,1,1\n3,1,2\n4,2\n4,1,1\n5,1\n6\n"
@@ -46,6 +46,9 @@ def test_list_checks_limit_before_walking(capsys, monkeypatch):
     monkeypatch.setattr(cli.enumeration, "enumerate_dn_descending", walk)
     code, out, err = run(capsys, "list", "--set", "dn", "22", "--desc", "--limit", "-1")
     assert (code, out, err) == (1, "", "alphaseq: error: --limit must be >= 0\n")
+    # the patch is reached when --limit is valid, so the check above is not vacuous
+    with pytest.raises(AssertionError, match="before --limit"):
+        cli.run(["list", "--set", "dn", "22", "--desc", "--limit", "1"])
 
 
 def test_list_dn_desc_streams_without_the_ascending_walk(capsys, monkeypatch):
@@ -56,6 +59,8 @@ def test_list_dn_desc_streams_without_the_ascending_walk(capsys, monkeypatch):
     code, out, _ = run(capsys, "list", "--set", "dn", "20", "--desc", "--limit", "5")
     assert code == 0
     assert out == "".join(format_sequence(a) + "\n" for a in oracle_dn(20)[::-1][:5])
+    with pytest.raises(AssertionError, match="ascending walk"):
+        cli.run(["list", "--set", "dn", "20", "--limit", "5"])
 
 
 def test_list_dn_desc_is_the_reversed_ascending_listing(capsys):
@@ -124,8 +129,10 @@ def test_succ_errors(capsys):
     code, _, err = run(capsys, "succ", "--set", "ln", "7", "6")
     assert code == 2
     assert "maximal element" in err
-    code, _, err = run(capsys, "succ", "--set", "an", "4", "2,1")
-    assert code == 2
+    assert run(capsys, "succ", "--set", "an", "4", "2,1") == (
+        2, "", "alphaseq: 2,1 is not a member of A_4\n")
+    assert run(capsys, "succ", "--set", "an", "0", "1") == (2, "", "alphaseq: n must be >= 1, got 0\n")
+    assert run(capsys, "pred", "--set", "an", "4", "0") == (2, "", "alphaseq: 0 is not a member of A_4\n")
     code, _, err = run(capsys, "succ", "--set", "ln", "6", "2,3")
     assert code == 2
 
@@ -170,6 +177,27 @@ def test_algebra_commands(capsys):
     assert run(capsys, "star", "3", "1") == (0, "4,3\n", "")
     assert run(capsys, "harmonic", "3", "0") == (0, "2,1,1,2,1\n", "")
     assert run(capsys, "least", "8") == (0, "2,1,1,2,1\n", "")
+
+
+def test_output_size_guard(capsys, monkeypatch):
+    # arguments only a little past a lowered budget: cheap even if the guard failed
+    monkeypatch.setattr(cli, "MAX_CELLS", 16)
+    for argv in (("least", "40"), ("harmonic", "4", "1"), ("star", "2", "9"), ("star", "2,1", "1,1,1,1,1")):
+        assert run(capsys, *argv) == (2, "", "alphaseq: output would exceed 16 cells\n"), argv
+    # the length is read off the arguments, not their degree
+    assert run(capsys, "star", "5000000", "1") == (0, "5000001,5000000\n", "")
+
+
+def test_output_size_guard_counts_the_exact_length(capsys, monkeypatch):
+    seqs = ("0", "1", "2", "1,1", "2,1", "3,1,2", "2,1,1,2,1")
+    cases = [(("least", str(n)), least_element(n)) for n in range(1, 70)]
+    cases += [(("harmonic", str(j), q), harmonic(j, parse_sequence(q))) for j in range(6) for q in seqs]
+    cases += [(("star", p, q), star(parse_sequence(p), parse_sequence(q))) for p in seqs for q in seqs]
+    for argv, expected in cases:
+        monkeypatch.setattr(cli, "MAX_CELLS", len(expected))
+        assert run(capsys, *argv) == (0, format_sequence(expected) + "\n", ""), argv
+        monkeypatch.setattr(cli, "MAX_CELLS", len(expected) - 1)
+        assert run(capsys, *argv)[0] == 2, argv
 
 
 def test_domain_errors(capsys):

@@ -16,7 +16,6 @@ from alphaseq.core import (
     is_fundamental,
     is_lexical,
     least_element,
-    max_element,
     meet,
     order_key,
     parse_sequence,
@@ -236,15 +235,6 @@ def test_two_adic_split():
         two_adic_split(0)
 
 
-def test_max_element():
-    assert max_element(SetContext("A", 4)) == (4,)
-    assert max_element(SetContext("L", 7)) == (6,)
-    assert max_element(SetContext("D", 8)) == (7,)
-    assert max_element(SetContext("L", 1)) == ZERO
-    with pytest.raises(InvalidN):
-        SetContext("L", 0)
-
-
 def test_set_membership():
     assert SetContext("A", 4).contains((1, 1, 2))
     assert not SetContext("A", 4).contains((4, 1))
@@ -254,6 +244,8 @@ def test_set_membership():
     assert SetContext("D", 8).contains((2, 1))
     assert SetContext("D", 8).contains(ZERO)
     assert not SetContext("D", 8).contains((2,))  # class 3 does not divide 8
+    with pytest.raises(InvalidN):
+        SetContext("L", 0)
 
 
 def test_parse_and_format():
