@@ -14,7 +14,6 @@ reverse D_n step reads the harmonics of f off the same factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .cells import lexical_predecessor_candidate, lexical_successor_candidate
 from .core import (
@@ -28,7 +27,6 @@ from .core import (
     is_fundamental,
     is_lexical,
     least_element,
-    meet,
     power,
     star,
     two_adic_split,
@@ -67,8 +65,10 @@ def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, AlphaSeq, int, int,
     # sequence: each is the maximum of its L_n
     if len(a) < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of L_{n}")
-    cand, _ = lexical_successor_candidate(a)
-    f = meet(a, cand)
+    cand, i = lexical_successor_candidate(a)
+    # the meet of a and cand, read off the rewrite at position i: a split
+    # lowers cell i by one, a conjugation raises cell i - 1 and drops cell i
+    f = a[: i - 1] + (a[i - 1] - 1,) if a[i - 1] >= 2 else a[: i - 1]
     m = 1 + degree(f)
     d, r = divmod(n, m)
     return cand, f, m, d, r
@@ -124,36 +124,40 @@ def _invert_extend_odd(p: AlphaSeq) -> AlphaSeq | None:
 def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     """Find g fundamental in L_m with m * d = n and a = star(g, least_element(d)).
 
-    Candidates for g are read off the odd-length prefixes of ``a`` (the first
-    block of a star product is extend_odd(g)). When several verify, the one
-    with the largest m wins. The trivial g = () factorization is reported
-    only for the least element of L_n, and only when nothing else matches.
+    star(g, lam) starts with extend_odd(g) and ends with g. extend_odd keeps
+    the first cell of a g of length >= 2, so such a g is a suffix a[j:] with
+    a[j] == a[0]; the only shorter g is (a[0] - 1,). Those are the candidates.
+    When several verify, the one with the largest m wins. The trivial g = ()
+    factorization is reported only for the least element of L_n, and only when
+    nothing else matches.
     """
     _require_ln(a, n)
-    best: StarFactorization | None = None
-    # m = 1 + degree(g) is the degree of the prefix extend_odd(g) that g is read
-    # from, so the prefix sums rule out every prefix whose m is not a proper
-    # divisor of n before any sequence is built; proper divisors are <= n // 2.
-    prefix_degrees = list(accumulate(a))
-    for plen in range(1, len(a) + 1, 2):
-        m = prefix_degrees[plen - 1]
-        if m > n // 2:
-            break
-        if n % m != 0:
+    candidates = []
+    if a:
+        head = a[0]
+        j = 0
+        for _ in range(a.count(head) - 1):
+            j = a.index(head, j + 1)
+            candidates.append(a[j:])
+        if head >= 2 and a[-1] == head - 1:
+            candidates.append((head - 1,))
+    # Degrees fall along the list: each suffix holds the next one, and the last
+    # candidate's one cell is below every suffix's first cell. So the first
+    # candidate that verifies has the largest (m, len(g)).
+    for g in candidates:
+        m = 1 + degree(g)
+        # m must be a proper divisor of n, so m <= n // 2
+        if m > n // 2 or n % m != 0:
             continue
-        g = _invert_extend_odd(a[:plen])
-        # star(g, lam) ends with g: one slice comparison rejects most prefixes
-        if not g or a[len(a) - len(g):] != g:
+        head_block = extend_odd(g)
+        if a[: len(head_block)] != head_block:
             continue
         if not is_lexical(g) or not is_fundamental(g):
             continue
         d = n // m
         lam = least_element(d)
         if star(g, lam) == a:
-            if best is None or (m, len(g)) > (best.m, len(best.g)):
-                best = StarFactorization(g, m, lam, d)
-    if best is not None:
-        return best
+            return StarFactorization(g, m, lam, d)
     if n >= 2 and a == least_element(n):
         return StarFactorization(ZERO, 1, a, n)
     return None

@@ -72,7 +72,21 @@ def is_lexical(a: AlphaSeq) -> bool:
 # the second test is a lookup. 64 entries cover one step's probes many times over.
 @lru_cache(maxsize=64)
 def _is_lexical(a: AlphaSeq) -> bool:
-    return all(compare(a, a[i:]) == GREATER for i in range(1, len(a)))
+    if len(a) < 2:
+        return True
+    # The first cell of the alternating-sign view counts positive, so a suffix
+    # starting below a[0] is below a and one starting above is above it: any
+    # larger later cell fails, and only the suffixes starting with a cell equal
+    # to a[0] need compare.
+    head = a[0]
+    if max(a) > head:
+        return False
+    j = 0
+    for _ in range(a.count(head) - 1):
+        j = a.index(head, j + 1)
+        if compare(a, a[j:]) != GREATER:
+            return False
+    return True
 
 
 def meet(a: AlphaSeq, b: AlphaSeq) -> AlphaSeq:
@@ -87,7 +101,10 @@ def meet(a: AlphaSeq, b: AlphaSeq) -> AlphaSeq:
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return a[:i] + (min(x, y),)
-    raise PrefixAmbiguity(f"{a} is a left factor of {b}; meet undefined")
+    shorter, longer = (a, b) if len(a) < len(b) else (b, a)
+    raise PrefixAmbiguity(
+        f"{format_sequence(shorter)} is a left factor of {format_sequence(longer)}; meet undefined"
+    )
 
 
 def power(a: AlphaSeq, q: int) -> AlphaSeq:

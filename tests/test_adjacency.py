@@ -19,6 +19,7 @@ from alphaseq.core import (
     extend_even,
     extend_odd,
     is_lexical,
+    meet,
     power,
 )
 from alphaseq.enumeration import enumerate_ln, enumerate_ln_descending
@@ -185,6 +186,14 @@ def test_meet_sandwich():
             assert compare(f, cand) == LESS
             assert is_lexical(f)
             assert 1 + degree(f) == m
+
+
+def test_successor_parts_reads_the_meet_off_the_rewrite():
+    for n in range(1, 17):
+        for a in oracle_ln(n)[:-1]:
+            cand, f, m, _, _ = _successor_parts(a, n)
+            assert f == meet(a, cand), (n, a)
+            assert m == 1 + degree(meet(a, cand)), (n, a)
 
 
 def test_doubled_class_surface_is_lexical():

@@ -209,6 +209,14 @@ def test_domain_errors(capsys):
     assert code == 1
 
 
+def test_meet_prefix_error_uses_the_text_form(capsys):
+    message = "alphaseq: 3,1 is a left factor of 3,1,2; meet undefined\n"
+    assert run(capsys, "meet", "3,1", "3,1,2") == (2, "", message)
+    assert run(capsys, "meet", "3,1,2", "3,1") == (2, "", message)
+    assert run(capsys, "meet", "0", "1") == (
+        2, "", "alphaseq: 0 is a left factor of 1; meet undefined\n")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "lexical", "3,x")[0] == 1
     assert run(capsys, "lexical", "3,0,1")[0] == 1

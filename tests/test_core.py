@@ -92,6 +92,12 @@ def test_is_lexical_examples(a, expected):
     assert is_lexical(a) is expected
 
 
+def test_is_lexical_is_the_definition_exhaustively():
+    # the first-cell filter passes compare only the suffixes that start with a[0]
+    for a in sequences_up_to_degree(14):
+        assert is_lexical(a) == all(compare(a, a[i:]) == GREATER for i in range(1, len(a))), a
+
+
 def test_meet_examples():
     assert meet((3, 2, 3, 2), (3, 1, 1, 3, 2)) == (3, 1)
     assert meet((3, 1, 2, 1), (4, 2, 1)) == (3,)
