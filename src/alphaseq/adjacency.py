@@ -4,11 +4,13 @@ The forward step rewrites the last negative cell that keeps the result
 lexical, then corrects for resonance: with f the meet of the pair and
 m = 1 + degree(f), the rewrite itself is adjacent unless m divides n, in
 which case the adjacent successor is star(f, least_element(n // m)). The
-reverse step inverts this: a sequence of the form star(g, least_element(d))
-with g fundamental steps down to extend_even(g)^(d-1) followed by a
-companion tail built from the structure of g; anything else steps down by a
-positive-cell rewrite. That g is the meet f of the forward step, so the
-reverse D_n step reads the harmonics of f off the same factorization.
+reverse step inverts this with one search, star_factorize. A sequence of the
+form star(g, least_element(d)) with g fundamental steps down to
+extend_even(g)^(d-1) followed by a companion tail, read off g's own star
+factorization in L_m. The trivial factorization marks the least element of
+L_n; anything else steps down by a positive-cell rewrite. That g is the meet f
+of the forward step, so the reverse D_n step reads the harmonics of f off the
+same factorization.
 """
 
 from __future__ import annotations
@@ -112,15 +114,6 @@ def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     return chain
 
 
-def _invert_extend_odd(p: AlphaSeq) -> AlphaSeq | None:
-    """Preimage of ``p`` under extend_odd, or None (images have odd length)."""
-    if not p or len(p) % 2 == 0:
-        return None
-    if p[-1] == 1:
-        return p[:-1]
-    return p[:-1] + (p[-1] - 1,)
-
-
 def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     """Find g fundamental in L_m with m * d = n and a = star(g, least_element(d)).
 
@@ -158,7 +151,9 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
         lam = least_element(d)
         if star(g, lam) == a:
             return StarFactorization(g, m, lam, d)
-    if n >= 2 and a == least_element(n):
+    # no least element has a cell above 2, and a[0] is the largest cell of a
+    # lexical a, so the guard skips building least_element(n) for most inputs
+    if n >= 2 and a[0] <= 2 and a == least_element(n):
         return StarFactorization(ZERO, 1, a, n)
     return None
 
@@ -166,30 +161,17 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
 def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
     """Companion tail of the reverse step for a star product with left factor g.
 
-    Two structural forms cover every fundamental g in L_m. Either
-    g = star(tau, least_element(r)) for a lexical tau and an odd r >= 3, and
-    the tail is star(tau, (1,)*(r-1)) = extend_odd(tau)^(r-1) + tau; or the
-    tail is the adjacent predecessor of g inside L_m, reached by a single
-    positive-cell rewrite (equivalently: g = extend_odd(tau) + zeta and the
-    tail is extend_even(tau) + zeta, for the longest lexical-preserving
-    decomposition point). The star form wins when both match.
+    The tail is read off g's own star factorization in L_m. When
+    g = star(f, least_element(d)) with d = 2**k (2s+1) and s > 0, the tail is
+    extend_odd(tau)^(2s) + tau with tau = h_k(f); otherwise it is the adjacent
+    predecessor of g inside L_m, reached by a single positive-cell rewrite.
     """
-    candidates = [ZERO]
-    for plen in range(1, len(g) + 1, 2):
-        tau = _invert_extend_odd(g[:plen])
-        if tau is not None:
-            candidates.append(tau)
-    for tau in candidates:
-        if not is_lexical(tau):
-            continue
-        m1 = 1 + degree(tau)
-        if m % m1 != 0:
-            continue
-        r = m // m1
-        if r < 3 or r % 2 == 0:
-            continue
-        if star(tau, least_element(r)) == g:
-            return power(extend_odd(tau), r - 1) + tau
+    fac = star_factorize(g, m)
+    if fac is not None:
+        k, s = two_adic_split(fac.d)
+        if s > 0:
+            tau = harmonic(k, fac.g)
+            return power(extend_odd(tau), 2 * s) + tau
     try:
         cand, _ = lexical_predecessor_candidate(g)
     except NoCandidate:
@@ -201,12 +183,10 @@ def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
 
 def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
     """Adjacent predecessor in L_n and the star factorization it was read from."""
-    # least_element(n) is a member of L_n and raises InvalidN for n < 1, so the
-    # Minimal check may come first; star_factorize then validates ``a`` once
-    if a == least_element(n):
-        raise Minimal(f"{format_sequence(a)} is the minimal element of L_{n}")
     fac = star_factorize(a, n)
-    # a is not the least element, so a factorization found here is non-trivial
+    # L_1 holds only the zero sequence; the trivial factorization is L_n's least element
+    if n == 1 or (fac is not None and fac.trivial):
+        raise Minimal(f"{format_sequence(a)} is the minimal element of L_{n}")
     if fac is not None:
         return power(extend_even(fac.g), fac.d - 1) + predecessor_tail(fac.g, fac.m), fac
     cand, _ = lexical_predecessor_candidate(a)

@@ -37,7 +37,6 @@ def conjugate(a: AlphaSeq, i: int) -> AlphaSeq:
 
 def apply_at(a: AlphaSeq, i: int) -> AlphaSeq:
     """Split at i when the value is >= 2, conjugate when it is 1."""
-    _check_index(a, i)
     return split(a, i) if a[i - 1] >= 2 else conjugate(a, i)
 
 

@@ -190,9 +190,10 @@ def least_element(n: int) -> AlphaSeq:
     return _least_element(n)
 
 
-# A reverse step asks for least_element(n) twice (its minimum check and the
-# trivial star factorization), and both step directions ask for it at divisors
-# of n; as with _is_lexical, the result never changes, so the cache is exact.
+# Both step directions ask for least_element at divisors of n on every resonant
+# step, and a reverse step from a sequence starting with 1 or 2 asks for
+# least_element(n) itself; as with _is_lexical, the result never changes, so
+# the cache is exact.
 @lru_cache(maxsize=64)
 def _least_element(n: int) -> AlphaSeq:
     l, s = two_adic_split(n)

@@ -11,6 +11,7 @@ from alphaseq.adjacency import (
     successor_is_direct,
     successor_ln,
 )
+from alphaseq.cells import lexical_predecessor_candidate
 from alphaseq.core import (
     LESS,
     ZERO,
@@ -18,12 +19,15 @@ from alphaseq.core import (
     degree,
     extend_even,
     extend_odd,
+    is_fundamental,
     is_lexical,
+    least_element,
     meet,
     power,
+    star,
 )
 from alphaseq.enumeration import enumerate_ln, enumerate_ln_descending
-from alphaseq.errors import InvalidN, Maximal, Minimal, NoDecomposition, NotInSet
+from alphaseq.errors import InvalidN, Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
 from alphaseq.oracle import oracle_ln
 
 
@@ -54,8 +58,6 @@ def test_star_factorize_examples():
 
 
 def test_star_factorization_reconstructs():
-    from alphaseq.core import is_fundamental, star
-
     for n in range(2, 17):
         for a in oracle_ln(n):
             fac = star_factorize(a, n)
@@ -67,11 +69,17 @@ def test_star_factorization_reconstructs():
             assert star(fac.g, fac.lam) == a
 
 
+def _invert_extend_odd(p):
+    """Preimage of ``p`` under extend_odd, or None (images have odd length)."""
+    if not p or len(p) % 2 == 0:
+        return None
+    if p[-1] == 1:
+        return p[:-1]
+    return p[:-1] + (p[-1] - 1,)
+
+
 def _star_factorize_unpruned(a, n):
     """star_factorize without the prefix-degree precheck: every odd prefix is tried."""
-    from alphaseq.adjacency import _invert_extend_odd
-    from alphaseq.core import is_fundamental, least_element, star
-
     best = None
     for plen in range(1, len(a) + 1, 2):
         g = _invert_extend_odd(a[:plen])
@@ -114,6 +122,52 @@ def test_predecessor_tail_examples():
         predecessor_tail(ZERO, 1)
 
 
+def _predecessor_tail_two_forms(g, m):
+    """The companion tail found by its own prefix search: either
+    g = star(tau, least_element(r)) for a lexical tau and an odd r >= 3, with
+    tail star(tau, (1,)*(r-1)), or the adjacent predecessor of g inside L_m."""
+    candidates = [ZERO]
+    for plen in range(1, len(g) + 1, 2):
+        tau = _invert_extend_odd(g[:plen])
+        if tau is not None:
+            candidates.append(tau)
+    for tau in candidates:
+        if not is_lexical(tau):
+            continue
+        m1 = 1 + degree(tau)
+        if m % m1 != 0:
+            continue
+        r = m // m1
+        if r < 3 or r % 2 == 0:
+            continue
+        if star(tau, least_element(r)) == g:
+            return power(extend_odd(tau), r - 1) + tau
+    try:
+        cand, _ = lexical_predecessor_candidate(g)
+    except NoCandidate:
+        raise NoDecomposition(f"{g} has no tail") from None
+    return cand
+
+
+def test_predecessor_tail_matches_the_two_form_search():
+    # a walk in L_n meets predecessor_tail(g, m) only for m a proper divisor of
+    # n, so m <= 16 covers every g that a walk with n <= 32 can reach
+    swept = 0
+    for m in range(1, 17):
+        for g in oracle_ln(m):
+            if not is_fundamental(g):
+                continue
+            try:
+                expected = _predecessor_tail_two_forms(g, m)
+            except NoDecomposition:
+                with pytest.raises(NoDecomposition):
+                    predecessor_tail(g, m)
+            else:
+                assert predecessor_tail(g, m) == expected, (m, g)
+            swept += 1
+    assert swept == 4381
+
+
 def test_predecessor_tail_prefers_the_rightmost_rewrite():
     # regression: (2,1,2,1) in class 7 decomposes at two positive cells;
     # only the rightmost one gives the true companion (2,1,1,1,1)
@@ -133,10 +187,11 @@ def test_predecessor_ln_examples():
     ((4, 3), 0, InvalidN, "n must be >= 1, got 0"),
     ((4, 3), -1, InvalidN, "n must be >= 1, got -1"),
     ((2, 1, 1, 2, 1), 8, Minimal, "2,1,1,2,1 is the minimal element of L_8"),
+    ((), 1, Minimal, "0 is the minimal element of L_1"),
 ])
 def test_reverse_step_errors(a, n, error, message):
-    # the Minimal check runs before star_factorize validates the input; the
-    # errors and their order are those of a validate-first step
+    # the reverse step validates through star_factorize before the Minimal
+    # check, which star_factorize does not make itself
     steps = [predecessor_ln, predecessor_dn]
     if error is not Minimal:
         steps.append(star_factorize)
@@ -144,6 +199,26 @@ def test_reverse_step_errors(a, n, error, message):
         with pytest.raises(error) as exc:
             step(a, n)
         assert str(exc.value) == message
+
+
+def test_least_element_factorizes_only_trivially():
+    # the reverse step reads Minimal off the trivial factorization
+    for n in range(2, 201):
+        fac = star_factorize(least_element(n), n)
+        assert fac is not None and fac.trivial, n
+
+
+def test_reverse_step_memory_does_not_grow_with_n(monkeypatch):
+    # least_element(n) has about n cells; a reverse step on a short member
+    # must not build it
+    def small_only(n):
+        assert n < 10**6, f"least_element({n}) built"
+        return least_element(n)
+
+    monkeypatch.setattr("alphaseq.adjacency.least_element", small_only)
+    n = 10**12 + 1
+    assert predecessor_ln((n - 1,), n) == (n - 2, 1)
+    assert predecessor_dn((n - 1,), n) == [(n - 2, 1)]
 
 
 def test_predecessor_dn_inverts_successor_dn():

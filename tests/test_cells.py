@@ -52,6 +52,17 @@ def test_apply_at_dispatch():
         apply_at((1, 3), 1)
 
 
+@pytest.mark.parametrize("a, i", [
+    ((3, 1, 2), 0),
+    ((3, 1, 2), -1),
+    ((3, 1, 2), 4),
+    ((), 1),
+])
+def test_apply_at_rejects_out_of_range_positions(a, i):
+    with pytest.raises(IndexError):
+        apply_at(a, i)
+
+
 def test_matches_the_closure_form_of_the_rewrites():
     # the uniform insert/merge agrees with the parity-cased closure definition:
     # decrement-and-close the prefix for a split, drop-and-close for a merge

@@ -228,6 +228,12 @@ def test_least_element_is_the_oracle_minimum():
         assert least_element(n) == oracle_ln(n)[0]
 
 
+def test_least_element_cells_are_at_most_two():
+    # star_factorize builds least_element(n) only for members starting with 1 or 2
+    for n in range(2, 201):
+        assert max(least_element(n)) <= 2, n
+
+
 def test_least_element_invalid():
     with pytest.raises(InvalidN):
         least_element(0)

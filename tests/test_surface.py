@@ -30,3 +30,25 @@ def test_readme_examples_return_the_commented_values():
     assert results[1] == ast.literal_eval(notes[1].partition(" via ")[0])
     assert notes[2] == "the nine members of L_7, ascending"
     assert results[2] == oracle_ln(7) and len(results[2]) == 9
+
+
+def test_oracle_imports_none_of_the_adjacency_machinery():
+    # the oracle certifies the walks, so at module level it may share only the
+    # comparator, the cap reader and the errors with them
+    source = Path(alphaseq.oracle.__file__).read_text(encoding="utf-8")
+    allowed = {
+        "caps": None,
+        "core": {"compare", "GREATER", "AlphaSeq", "ZERO"},
+        "errors": None,
+    }
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("alphaseq") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                assert not node.module.startswith("alphaseq"), node.module
+                continue
+            assert node.level == 1 and node.module in allowed, node.module
+            names = allowed[node.module]
+            if names is not None:
+                assert {alias.name for alias in node.names} <= names, node.module
