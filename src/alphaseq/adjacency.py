@@ -11,11 +11,16 @@ factorization in L_m. The trivial factorization marks the least element of
 L_n; anything else steps down by a positive-cell rewrite. That g is the meet f
 of the forward step, so the reverse D_n step reads the harmonics of f off the
 same factorization.
+
+Each public entry validates its input as a member of L_n once and then calls
+a private body that assumes one. The walks call the bodies directly: every
+step yields a member of L_n, so its output needs no second check as the next
+step's input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cells import lexical_predecessor_candidate, lexical_successor_candidate
 from .core import (
@@ -35,18 +40,14 @@ from .core import (
 )
 from .errors import InvalidN, Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
 
-@dataclass(frozen=True)
-class StarFactorization:
+class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
     """Witness that a sequence equals star(g, lam) with g fundamental in L_m.
 
     lam is the least element of L_d and n = m * d. The trivial factorization
     (the sequence is the least element of L_n itself) has g = () and m = 1.
     """
 
-    g: AlphaSeq
-    m: int
-    lam: AlphaSeq
-    d: int
+    __slots__ = ()
 
     @property
     def trivial(self) -> bool:
@@ -61,8 +62,7 @@ def _require_ln(a: AlphaSeq, n: int) -> None:
 
 
 def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, AlphaSeq, int, int, int]:
-    """Candidate rewrite, meet f, m = 1 + degree(f), and divmod(n, m)."""
-    _require_ln(a, n)
+    """Candidate rewrite, meet f, m = 1 + degree(f), and divmod(n, m), for a member of L_n."""
     # the members of length at most one are (n - 1) and, for n = 1, the zero
     # sequence: each is the maximum of its L_n
     if len(a) < 2:
@@ -76,12 +76,17 @@ def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, AlphaSeq, int, int,
     return cand, f, m, d, r
 
 
-def successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
-    """Adjacent successor of ``a`` in L_n."""
+def _successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     cand, f, _, d, r = _successor_parts(a, n)
     if r > 0:
         return cand
     return star(f, least_element(d))
+
+
+def successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
+    """Adjacent successor of ``a`` in L_n."""
+    _require_ln(a, n)
+    return _successor_ln(a, n)
 
 
 def successor_is_direct(a: AlphaSeq, n: int) -> bool:
@@ -90,19 +95,12 @@ def successor_is_direct(a: AlphaSeq, n: int) -> bool:
     Equivalently, the degree class of the meet does not divide n; for prime
     n this holds everywhere below the maximum.
     """
+    _require_ln(a, n)
     *_, r = _successor_parts(a, n)
     return r > 0
 
 
-def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
-    """All elements of D_n between ``a`` (exclusive) and the next L_n element
-    (inclusive), in ascending order.
-
-    A direct step contributes one element. A resonant step (m divides n)
-    inserts f and its harmonics h_1(f), ..., h_k(f), with d = n // m =
-    2**k (2t+1), before star(f, least); for t = 0 the last harmonic *is*
-    that star product and is emitted once.
-    """
+def _successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     cand, f, _, d, r = _successor_parts(a, n)
     if r > 0:
         return [cand]
@@ -114,17 +112,20 @@ def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     return chain
 
 
-def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
-    """Find g fundamental in L_m with m * d = n and a = star(g, least_element(d)).
+def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
+    """All elements of D_n between ``a`` (exclusive) and the next L_n element
+    (inclusive), in ascending order.
 
-    star(g, lam) starts with extend_odd(g) and ends with g. extend_odd keeps
-    the first cell of a g of length >= 2, so such a g is a suffix a[j:] with
-    a[j] == a[0]; the only shorter g is (a[0] - 1,). Those are the candidates.
-    When several verify, the one with the largest m wins. The trivial g = ()
-    factorization is reported only for the least element of L_n, and only when
-    nothing else matches.
+    A direct step contributes one element. A resonant step (m divides n)
+    inserts f and its harmonics h_1(f), ..., h_k(f), with d = n // m =
+    2**k (2t+1), before star(f, least); for t = 0 the last harmonic *is*
+    that star product and is emitted once.
     """
     _require_ln(a, n)
+    return _successor_dn(a, n)
+
+
+def _star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     candidates = []
     if a:
         head = a[0]
@@ -158,15 +159,22 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     return None
 
 
-def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
-    """Companion tail of the reverse step for a star product with left factor g.
+def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
+    """Find g fundamental in L_m with m * d = n and a = star(g, least_element(d)).
 
-    The tail is read off g's own star factorization in L_m. When
-    g = star(f, least_element(d)) with d = 2**k (2s+1) and s > 0, the tail is
-    extend_odd(tau)^(2s) + tau with tau = h_k(f); otherwise it is the adjacent
-    predecessor of g inside L_m, reached by a single positive-cell rewrite.
+    star(g, lam) starts with extend_odd(g) and ends with g. extend_odd keeps
+    the first cell of a g of length >= 2, so such a g is a suffix a[j:] with
+    a[j] == a[0]; the only shorter g is (a[0] - 1,). Those are the candidates.
+    When several verify, the one with the largest m wins. The trivial g = ()
+    factorization is reported only for the least element of L_n, and only when
+    nothing else matches.
     """
-    fac = star_factorize(g, m)
+    _require_ln(a, n)
+    return _star_factorize(a, n)
+
+
+def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
+    fac = _star_factorize(g, m)
     if fac is not None:
         k, s = two_adic_split(fac.d)
         if s > 0:
@@ -181,22 +189,47 @@ def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
     return cand
 
 
+def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
+    """Companion tail of the reverse step for a star product with left factor g.
+
+    The tail is read off g's own star factorization in L_m. When
+    g = star(f, least_element(d)) with d = 2**k (2s+1) and s > 0, the tail is
+    extend_odd(tau)^(2s) + tau with tau = h_k(f); otherwise it is the adjacent
+    predecessor of g inside L_m, reached by a single positive-cell rewrite.
+    """
+    _require_ln(g, m)
+    return _predecessor_tail(g, m)
+
+
 def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
-    """Adjacent predecessor in L_n and the star factorization it was read from."""
-    fac = star_factorize(a, n)
+    """Adjacent predecessor of a member of L_n and the star factorization it was read from."""
+    fac = _star_factorize(a, n)
     # L_1 holds only the zero sequence; the trivial factorization is L_n's least element
     if n == 1 or (fac is not None and fac.trivial):
         raise Minimal(f"{format_sequence(a)} is the minimal element of L_{n}")
     if fac is not None:
-        return power(extend_even(fac.g), fac.d - 1) + predecessor_tail(fac.g, fac.m), fac
+        # a factor g of a factorization is fundamental and lexical with 1 + degree(g) = m
+        return power(extend_even(fac.g), fac.d - 1) + _predecessor_tail(fac.g, fac.m), fac
     cand, _ = lexical_predecessor_candidate(a)
     return cand, None
 
 
 def predecessor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     """Adjacent predecessor of ``a`` in L_n."""
-    pred, _ = _predecessor_parts(a, n)
-    return pred
+    _require_ln(a, n)
+    return _predecessor_parts(a, n)[0]
+
+
+def _predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
+    pred, fac = _predecessor_parts(a, n)
+    if fac is None:
+        return [pred]
+    k, _ = two_adic_split(fac.d)
+    chain = [harmonic(j, fac.g) for j in range(k, -1, -1)]
+    if chain[0] == a:
+        del chain[0]
+    chain.append(pred)
+    return chain
 
 
 def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
@@ -208,12 +241,5 @@ def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     before the L_n predecessor; h_k(g) is ``a`` itself when t = 0 and is
     skipped. Otherwise the burst is the L_n predecessor alone.
     """
-    pred, fac = _predecessor_parts(a, n)
-    if fac is None:
-        return [pred]
-    k, _ = two_adic_split(fac.d)
-    chain = [harmonic(j, fac.g) for j in range(k, -1, -1)]
-    if chain[0] == a:
-        del chain[0]
-    chain.append(pred)
-    return chain
+    _require_ln(a, n)
+    return _predecessor_dn(a, n)

@@ -10,18 +10,18 @@ themselves, so the oracle can share it without depending on the walks.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded, InvalidN
 
 
-@dataclass(frozen=True)
-class Cap:
-    """An upper bound on n, configurable through one environment variable."""
+class Cap(namedtuple("Cap", "variable default label")):
+    """An upper bound on n, configurable through one environment variable.
 
-    variable: str
-    default: int
-    label: str  # names the bound in the CapExceeded message
+    ``label`` names the bound in the CapExceeded message.
+    """
+
+    __slots__ = ()
 
     def value(self) -> int:
         raw = os.environ.get(self.variable)

@@ -12,8 +12,6 @@ an output of more than ``MAX_CELLS`` cells as a domain error. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from itertools import islice
 
@@ -121,13 +119,16 @@ def _cmd_list(args) -> int:
     if args.limit is not None:
         stream = islice(stream, args.limit)
     if args.format == "text":
-        for seq in stream:
-            print(format_sequence(seq))
+        sys.stdout.writelines(f"{format_sequence(seq)}\n" for seq in stream)
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for seq in stream:
             writer.writerow(seq if seq else (0,))
     else:
+        import json
+
         # the zero sequence is the empty array
         items = [list(seq) for seq in stream]
         record = {"n": args.n, "set": args.set_name, "count": len(items), "items": items}

@@ -10,7 +10,7 @@ Everything here is a pure function over immutable tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidN, PrefixAmbiguity, UndefinedOperation
@@ -67,9 +67,10 @@ def is_lexical(a: AlphaSeq) -> bool:
     return _is_lexical(tuple(a))  # the cache needs a hashable key; a list is accepted too
 
 
-# Lexicality of an immutable tuple never changes, so the cache is exact. A walk
-# tests each winning rewrite and then re-validates it as the next step's input;
-# the second test is a lookup. 64 entries cover one step's probes many times over.
+# Lexicality of an immutable tuple never changes, so the cache is exact. The
+# public step entries validate their input once, and the walks, which call the
+# unchecked step bodies, never re-test their own output; a repeated public call
+# on the same member is a lookup. 64 entries cover one step's probes many times over.
 @lru_cache(maxsize=64)
 def _is_lexical(a: AlphaSeq) -> bool:
     if len(a) < 2:
@@ -203,19 +204,18 @@ def _least_element(n: int) -> AlphaSeq:
     return star(base, (2,) + (1,) * (2 * (s - 1)))
 
 
-@dataclass(frozen=True)
-class SetContext:
+class SetContext(namedtuple("SetContext", "kind n")):
     """A target universe: A_n (compositions of n), L_n (lexical, 1 + degree = n)
-    or D_n (lexical with degree class dividing n)."""
+    or D_n (lexical with degree class dividing n). ``kind`` is "A", "L" or "D"."""
 
-    kind: str  # "A", "L" or "D"
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("A", "L", "D"):
-            raise ValueError(f"kind must be A, L or D, got {self.kind!r}")
-        if self.n < 1:
-            raise InvalidN(f"n must be >= 1, got {self.n}")
+    def __new__(cls, kind: str, n: int):
+        if kind not in ("A", "L", "D"):
+            raise ValueError(f"kind must be A, L or D, got {kind!r}")
+        if n < 1:
+            raise InvalidN(f"n must be >= 1, got {n}")
+        return super().__new__(cls, kind, n)
 
     def contains(self, a: AlphaSeq) -> bool:
         if any(v < 1 for v in a):

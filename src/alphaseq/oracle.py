@@ -8,7 +8,7 @@ same sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cmp_to_key
 
 from .caps import ORACLE_CAP
@@ -78,14 +78,14 @@ def oracle_adjacent(
     return pred, succ
 
 
-@dataclass
-class OracleReport:
-    """Element-by-element comparison of one enumerated set against the oracle."""
+class OracleReport(namedtuple("OracleReport", "n set_kind expected mismatches")):
+    """Element-by-element comparison of one enumerated set against the oracle.
 
-    n: int
-    set_kind: str  # "A", "L" or "D"
-    expected: list[AlphaSeq]
-    mismatches: list[tuple[int, AlphaSeq | None, AlphaSeq | None]]
+    ``set_kind`` is "A", "L" or "D"; ``mismatches`` holds the
+    (position, expected, actual) triples of :func:`diff_ordered`.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -190,12 +190,28 @@ def test_predecessor_ln_examples():
     ((), 1, Minimal, "0 is the minimal element of L_1"),
 ])
 def test_reverse_step_errors(a, n, error, message):
-    # the reverse step validates through star_factorize before the Minimal
-    # check, which star_factorize does not make itself
+    # the reverse step validates before the Minimal check, which
+    # star_factorize and predecessor_tail do not make themselves
     steps = [predecessor_ln, predecessor_dn]
     if error is not Minimal:
-        steps.append(star_factorize)
+        steps += [star_factorize, predecessor_tail]
     for step in steps:
+        with pytest.raises(error) as exc:
+            step(a, n)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("a, n, error, message", [
+    ((2, 3), 6, NotInSet, "2,3 is not a member of L_6"),
+    ((4, 3), 12, NotInSet, "4,3 is not a member of L_12"),
+    ((4, 3), 0, InvalidN, "n must be >= 1, got 0"),
+    ((4, 3), -1, InvalidN, "n must be >= 1, got -1"),
+    ((6,), 7, Maximal, "6 is the maximal element of L_7"),
+    ((), 1, Maximal, "0 is the maximal element of L_1"),
+])
+def test_forward_step_errors(a, n, error, message):
+    # the forward step validates before the Maximal check
+    for step in (successor_ln, successor_dn, successor_is_direct):
         with pytest.raises(error) as exc:
             step(a, n)
         assert str(exc.value) == message

@@ -2,6 +2,7 @@ from itertools import islice
 
 import pytest
 
+from alphaseq import adjacency
 from alphaseq.core import ZERO, order_key
 from alphaseq.enumeration import (
     enumerate_an,
@@ -119,6 +120,31 @@ def test_descending_walks():
         assert list(enumerate_ln_descending(n)) == list(reversed(oracle_ln(n)))
     for n in range(1, 17):
         assert list(enumerate_dn_descending(n)) == oracle_dn(n)[::-1]
+
+
+def test_walks_do_not_revalidate(monkeypatch):
+    # a walk's start is the least element or the maximum and every later
+    # input is its own output, so only the public step entries validate
+    calls = []
+    require_ln = adjacency._require_ln
+    monkeypatch.setattr(adjacency, "_require_ln", lambda a, n: calls.append(a) or require_ln(a, n))
+    assert list(enumerate_ln(12)) == oracle_ln(12)
+    assert list(enumerate_ln_descending(12)) == oracle_ln(12)[::-1]
+    assert list(enumerate_dn(12)) == oracle_dn(12)
+    assert list(enumerate_dn_descending(12)) == oracle_dn(12)[::-1]
+    assert calls == []
+    for entry in (
+        adjacency.successor_ln,
+        adjacency.successor_is_direct,
+        adjacency.successor_dn,
+        adjacency.star_factorize,
+        adjacency.predecessor_tail,
+        adjacency.predecessor_ln,
+        adjacency.predecessor_dn,
+    ):
+        entry((4, 2, 1), 8)
+        assert calls == [(4, 2, 1)], entry.__name__
+        calls.clear()
 
 
 def test_streams_are_lazy():

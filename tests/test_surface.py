@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import alphaseq
@@ -52,3 +55,18 @@ def test_oracle_imports_none_of_the_adjacency_machinery():
             names = allowed[node.module]
             if names is not None:
                 assert {alias.name for alias in node.names} <= names, node.module
+
+
+def test_cli_import_stays_light():
+    # every CLI process pays for what `import alphaseq.cli` loads, whatever the command
+    heavy = ("dataclasses", "inspect", "typing", "json", "csv")
+    code = f"import sys, alphaseq.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    src = str(Path(alphaseq.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
