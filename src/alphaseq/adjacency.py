@@ -76,17 +76,17 @@ def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, AlphaSeq, int, int,
     return cand, f, m, d, r
 
 
+def successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
+    """Adjacent successor of ``a`` in L_n."""
+    _require_ln(a, n)
+    return _successor_ln(a, n)
+
+
 def _successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     cand, f, _, d, r = _successor_parts(a, n)
     if r > 0:
         return cand
     return star(f, least_element(d))
-
-
-def successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
-    """Adjacent successor of ``a`` in L_n."""
-    _require_ln(a, n)
-    return _successor_ln(a, n)
 
 
 def successor_is_direct(a: AlphaSeq, n: int) -> bool:
@@ -98,6 +98,19 @@ def successor_is_direct(a: AlphaSeq, n: int) -> bool:
     _require_ln(a, n)
     *_, r = _successor_parts(a, n)
     return r > 0
+
+
+def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
+    """All elements of D_n between ``a`` (exclusive) and the next L_n element
+    (inclusive), in ascending order.
+
+    A direct step contributes one element. A resonant step (m divides n)
+    inserts f and its harmonics h_1(f), ..., h_k(f), with d = n // m =
+    2**k (2t+1), before star(f, least); for t = 0 the last harmonic *is*
+    that star product and is emitted once.
+    """
+    _require_ln(a, n)
+    return _successor_dn(a, n)
 
 
 def _successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
@@ -112,17 +125,18 @@ def _successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     return chain
 
 
-def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
-    """All elements of D_n between ``a`` (exclusive) and the next L_n element
-    (inclusive), in ascending order.
+def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
+    """Find g fundamental in L_m with m * d = n and a = star(g, least_element(d)).
 
-    A direct step contributes one element. A resonant step (m divides n)
-    inserts f and its harmonics h_1(f), ..., h_k(f), with d = n // m =
-    2**k (2t+1), before star(f, least); for t = 0 the last harmonic *is*
-    that star product and is emitted once.
+    star(g, lam) starts with extend_odd(g) and ends with g. extend_odd keeps
+    the first cell of a g of length >= 2, so such a g is a suffix a[j:] with
+    a[j] == a[0]; the only shorter g is (a[0] - 1,). Those are the candidates.
+    When several verify, the one with the largest m wins. The trivial g = ()
+    factorization is reported only for the least element of L_n, and only when
+    nothing else matches.
     """
     _require_ln(a, n)
-    return _successor_dn(a, n)
+    return _star_factorize(a, n)
 
 
 def _star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
@@ -159,18 +173,16 @@ def _star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     return None
 
 
-def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
-    """Find g fundamental in L_m with m * d = n and a = star(g, least_element(d)).
+def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
+    """Companion tail of the reverse step for a star product with left factor g.
 
-    star(g, lam) starts with extend_odd(g) and ends with g. extend_odd keeps
-    the first cell of a g of length >= 2, so such a g is a suffix a[j:] with
-    a[j] == a[0]; the only shorter g is (a[0] - 1,). Those are the candidates.
-    When several verify, the one with the largest m wins. The trivial g = ()
-    factorization is reported only for the least element of L_n, and only when
-    nothing else matches.
+    The tail is read off g's own star factorization in L_m. When
+    g = star(f, least_element(d)) with d = 2**k (2s+1) and s > 0, the tail is
+    extend_odd(tau)^(2s) + tau with tau = h_k(f); otherwise it is the adjacent
+    predecessor of g inside L_m, reached by a single positive-cell rewrite.
     """
-    _require_ln(a, n)
-    return _star_factorize(a, n)
+    _require_ln(g, m)
+    return _predecessor_tail(g, m)
 
 
 def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
@@ -189,18 +201,6 @@ def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
     return cand
 
 
-def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
-    """Companion tail of the reverse step for a star product with left factor g.
-
-    The tail is read off g's own star factorization in L_m. When
-    g = star(f, least_element(d)) with d = 2**k (2s+1) and s > 0, the tail is
-    extend_odd(tau)^(2s) + tau with tau = h_k(f); otherwise it is the adjacent
-    predecessor of g inside L_m, reached by a single positive-cell rewrite.
-    """
-    _require_ln(g, m)
-    return _predecessor_tail(g, m)
-
-
 def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
     """Adjacent predecessor of a member of L_n and the star factorization it was read from."""
     fac = _star_factorize(a, n)
@@ -208,7 +208,7 @@ def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization
     if n == 1 or (fac is not None and fac.trivial):
         raise Minimal(f"{format_sequence(a)} is the minimal element of L_{n}")
     if fac is not None:
-        # a factor g of a factorization is fundamental and lexical with 1 + degree(g) = m
+        # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m
         return power(extend_even(fac.g), fac.d - 1) + _predecessor_tail(fac.g, fac.m), fac
     cand, _ = lexical_predecessor_candidate(a)
     return cand, None
@@ -218,18 +218,6 @@ def predecessor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     """Adjacent predecessor of ``a`` in L_n."""
     _require_ln(a, n)
     return _predecessor_parts(a, n)[0]
-
-
-def _predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
-    pred, fac = _predecessor_parts(a, n)
-    if fac is None:
-        return [pred]
-    k, _ = two_adic_split(fac.d)
-    chain = [harmonic(j, fac.g) for j in range(k, -1, -1)]
-    if chain[0] == a:
-        del chain[0]
-    chain.append(pred)
-    return chain
 
 
 def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
@@ -243,3 +231,15 @@ def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     """
     _require_ln(a, n)
     return _predecessor_dn(a, n)
+
+
+def _predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
+    pred, fac = _predecessor_parts(a, n)
+    if fac is None:
+        return [pred]
+    k, _ = two_adic_split(fac.d)
+    chain = [harmonic(j, fac.g) for j in range(k, -1, -1)]
+    if chain[0] == a:
+        del chain[0]
+    chain.append(pred)
+    return chain
