@@ -9,8 +9,10 @@ form star(g, least_element(d)) with g fundamental steps down to
 extend_even(g)^(d-1) followed by a companion tail, read off g's own star
 factorization in L_m. The trivial factorization marks the least element of
 L_n; anything else steps down by a positive-cell rewrite. That g is the meet f
-of the forward step, so the reverse D_n step reads the harmonics of f off the
-same factorization.
+of the forward step, so both steps have one shape: the neighbour, and the
+StarFactorization(f, m, least_element(d), d) of the resonant pair, or None.
+A D_n step in either direction inserts the harmonics of f that lie below
+star(f, least_element(d)), and only _harmonics_below says which they are.
 
 Each public entry validates its input as a member of L_n once and then calls
 a private body that assumes one. The walks call the bodies directly: every
@@ -61,8 +63,8 @@ def _require_ln(a: AlphaSeq, n: int) -> None:
         raise NotInSet(f"{format_sequence(a)} is not a member of L_{n}")
 
 
-def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, AlphaSeq, int, int, int]:
-    """Candidate rewrite, meet f, m = 1 + degree(f), and divmod(n, m), for a member of L_n."""
+def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
+    """Adjacent successor of a member of L_n and, on a resonant step, its star factorization."""
     # the members of length at most one are (n - 1) and, for n = 1, the zero
     # sequence: each is the maximum of its L_n
     if len(a) < 2:
@@ -73,20 +75,16 @@ def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, AlphaSeq, int, int,
     f = a[: i - 1] + (a[i - 1] - 1,) if a[i - 1] >= 2 else a[: i - 1]
     m = 1 + degree(f)
     d, r = divmod(n, m)
-    return cand, f, m, d, r
+    if r > 0:
+        return cand, None
+    lam = least_element(d)
+    return star(f, lam), StarFactorization(f, m, lam, d)
 
 
 def successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     """Adjacent successor of ``a`` in L_n."""
     _require_ln(a, n)
-    return _successor_ln(a, n)
-
-
-def _successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
-    cand, f, _, d, r = _successor_parts(a, n)
-    if r > 0:
-        return cand
-    return star(f, least_element(d))
+    return _successor_parts(a, n)[0]
 
 
 def successor_is_direct(a: AlphaSeq, n: int) -> bool:
@@ -96,8 +94,18 @@ def successor_is_direct(a: AlphaSeq, n: int) -> bool:
     n this holds everywhere below the maximum.
     """
     _require_ln(a, n)
-    *_, r = _successor_parts(a, n)
-    return r > 0
+    return _successor_parts(a, n)[1] is None
+
+
+def _harmonics_below(g: AlphaSeq, d: int) -> list[AlphaSeq]:
+    """The harmonics of g below star(g, least_element(d)), ascending.
+
+    With d = 2**k (2t+1) they are h_j(g) for j < k + (t > 0): h_k(g) equals
+    star(g, least_element(2**k)), so it is the product itself when t = 0 and
+    lies in a smaller class than the product when t > 0.
+    """
+    k, t = two_adic_split(d)
+    return [harmonic(j, g) for j in range(k + (t > 0))]
 
 
 def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
@@ -105,24 +113,19 @@ def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     (inclusive), in ascending order.
 
     A direct step contributes one element. A resonant step (m divides n)
-    inserts f and its harmonics h_1(f), ..., h_k(f), with d = n // m =
-    2**k (2t+1), before star(f, least); for t = 0 the last harmonic *is*
-    that star product and is emitted once.
+    inserts harmonics of the meet f before star(f, least_element(d)), with
+    d = n // m = 2**k (2t+1): h_0(f), ..., h_k(f) when t > 0, and h_0(f),
+    ..., h_(k-1)(f) when t = 0, where h_k(f) is that star product itself.
     """
     _require_ln(a, n)
     return _successor_dn(a, n)
 
 
 def _successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
-    cand, f, _, d, r = _successor_parts(a, n)
-    if r > 0:
-        return [cand]
-    k, _ = two_adic_split(d)
-    chain = [harmonic(j, f) for j in range(k + 1)]
-    top = star(f, least_element(d))
-    if chain[-1] != top:
-        chain.append(top)
-    return chain
+    succ, fac = _successor_parts(a, n)
+    if fac is None:
+        return [succ]
+    return _harmonics_below(fac.g, fac.d) + [succ]
 
 
 def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
@@ -224,10 +227,10 @@ def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     """All elements of D_n between ``a`` (exclusive) and the previous L_n
     element (inclusive), in descending order: the inverse of successor_dn.
 
-    When ``a`` = star(g, least_element(d)) with d = 2**k (2t+1), the forward
-    step into ``a`` was resonant with meet g, so h_k(g), ..., h_0(g) come
-    before the L_n predecessor; h_k(g) is ``a`` itself when t = 0 and is
-    skipped. Otherwise the burst is the L_n predecessor alone.
+    When ``a`` = star(g, least_element(d)), the forward step into ``a`` was
+    resonant with meet g, so the harmonics of g below ``a`` come before the
+    L_n predecessor, the highest first. Otherwise the burst is the L_n
+    predecessor alone.
     """
     _require_ln(a, n)
     return _predecessor_dn(a, n)
@@ -237,9 +240,4 @@ def _predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     pred, fac = _predecessor_parts(a, n)
     if fac is None:
         return [pred]
-    k, _ = two_adic_split(fac.d)
-    chain = [harmonic(j, fac.g) for j in range(k, -1, -1)]
-    if chain[0] == a:
-        del chain[0]
-    chain.append(pred)
-    return chain
+    return _harmonics_below(fac.g, fac.d)[::-1] + [pred]

@@ -6,12 +6,14 @@ insertion burst of one L_n step, one element per line. Sequences are
 written as comma-separated positive integers ("3,1,2,1"); the zero
 sequence is the literal "0". ``least``, ``harmonic`` and ``star`` refuse
 an output of more than ``MAX_CELLS`` cells as a domain error. Exit codes:
-0 success, 1 usage error, 2 domain error, 3 verification mismatch.
+0 success, 1 usage error, 2 domain error, 3 verification mismatch; output cut
+short by its reader closing the pipe also exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 
@@ -239,4 +241,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``alphaseq list ... | head``): end
+        # quietly, and point stdout at devnull so the interpreter's last flush
+        # of what is still buffered does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)

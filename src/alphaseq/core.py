@@ -64,15 +64,6 @@ def is_lexical(a: AlphaSeq) -> bool:
 
     Sequences of length at most one are lexical, the zero sequence included.
     """
-    return _is_lexical(tuple(a))  # the cache needs a hashable key; a list is accepted too
-
-
-# Lexicality of an immutable tuple never changes, so the cache is exact. The
-# public step entries validate their input once, and the walks, which call the
-# unchecked step bodies, never re-test their own output; a repeated public call
-# on the same member is a lookup. 64 entries cover one step's probes many times over.
-@lru_cache(maxsize=64)
-def _is_lexical(a: AlphaSeq) -> bool:
     if len(a) < 2:
         return True
     # The first cell of the alternating-sign view counts positive, so a suffix
@@ -193,8 +184,7 @@ def least_element(n: int) -> AlphaSeq:
 
 # Both step directions ask for least_element at divisors of n on every resonant
 # step, and a reverse step from a sequence starting with 1 or 2 asks for
-# least_element(n) itself; as with _is_lexical, the result never changes, so
-# the cache is exact.
+# least_element(n) itself; the result never changes, so the cache is exact.
 @lru_cache(maxsize=64)
 def _least_element(n: int) -> AlphaSeq:
     l, s = two_adic_split(n)

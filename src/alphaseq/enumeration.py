@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 
-from .adjacency import _predecessor_dn, _predecessor_parts, _successor_dn, _successor_ln
+from .adjacency import _harmonics_below, _predecessor_dn, _predecessor_parts, _successor_dn, _successor_parts
 # not called here: perfbench/test_perfbench.py checks that a tracer rebinds this name
 from .adjacency import successor_ln  # noqa: F401
 from .caps import ENUM_CAP
 from .cells import predecessor_an, successor_an
-from .core import AlphaSeq, ZERO, harmonic, least_element, two_adic_split
+from .core import AlphaSeq, ZERO, least_element
 
 
 def _steps(
@@ -66,13 +66,6 @@ def _top(n: int) -> AlphaSeq:
     return (n - 1,) if n >= 2 else ZERO
 
 
-def _zeros_below_least(n: int) -> list[AlphaSeq]:
-    """The members of D_n below the least element of L_n, ascending: harmonics of zero."""
-    l, s = two_adic_split(n)
-    # for s = 0 the least element is h_l of the zero sequence itself
-    return [harmonic(j, ZERO) for j in range(l + 1 if s > 0 else l)]
-
-
 def enumerate_an(n: int) -> Iterator[AlphaSeq]:
     """All 2**(n-1) elements of A_n in ascending order, from (1, n-1) up to (n)."""
     ENUM_CAP.check(n)
@@ -88,7 +81,7 @@ def enumerate_an_descending(n: int) -> Iterator[AlphaSeq]:
 def enumerate_ln(n: int) -> Iterator[AlphaSeq]:
     """L_n in ascending order, from the least element to (n-1)."""
     ENUM_CAP.check(n)
-    return _steps(least_element(n), _top(n), lambda a: _successor_ln(a, n))
+    return _steps(least_element(n), _top(n), lambda a: _successor_parts(a, n)[0])
 
 
 def enumerate_ln_descending(n: int) -> Iterator[AlphaSeq]:
@@ -105,7 +98,7 @@ def enumerate_dn(n: int) -> Iterator[AlphaSeq]:
     insert the lower-class elements exactly where they belong.
     """
     ENUM_CAP.check(n)
-    return _bursts(least_element(n), _top(n), _successor_dn, n, head=_zeros_below_least(n))
+    return _bursts(least_element(n), _top(n), _successor_dn, n, head=_harmonics_below(ZERO, n))
 
 
 def enumerate_dn_descending(n: int) -> Iterator[AlphaSeq]:
@@ -115,4 +108,4 @@ def enumerate_dn_descending(n: int) -> Iterator[AlphaSeq]:
     yields the harmonics of the zero sequence below it, the highest first.
     """
     ENUM_CAP.check(n)
-    return _bursts(_top(n), least_element(n), _predecessor_dn, n, tail=_zeros_below_least(n)[::-1])
+    return _bursts(_top(n), least_element(n), _predecessor_dn, n, tail=_harmonics_below(ZERO, n)[::-1])

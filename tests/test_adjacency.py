@@ -11,7 +11,7 @@ from alphaseq.adjacency import (
     successor_is_direct,
     successor_ln,
 )
-from alphaseq.cells import lexical_predecessor_candidate
+from alphaseq.cells import lexical_predecessor_candidate, lexical_successor_candidate
 from alphaseq.core import (
     LESS,
     ZERO,
@@ -102,9 +102,9 @@ def test_star_factorize_matches_the_unpruned_loop():
             assert star_factorize(a, n) == _star_factorize_unpruned(a, n), (n, a)
 
 
-def test_memoized_lexicality_keeps_membership():
-    # the walks fill the lexicality cache with members of L_7 and L_8; a member
-    # of L_7 is lexical but has the wrong degree for L_8
+def test_lexical_sequence_of_another_class_is_not_a_member():
+    # the walks over L_7 and L_8 match the oracle, and a member of L_7, though
+    # lexical, has the wrong degree for L_8: every step entry rejects it
     for n in (7, 8):
         assert list(enumerate_ln(n)) == oracle_ln(n)
         assert list(enumerate_ln_descending(n)) == oracle_ln(n)[::-1]
@@ -269,16 +269,23 @@ def test_round_trip():
 
 def test_meet_sandwich():
     # between a sequence and its rewrite candidate sits their meet, lexical,
-    # strictly inside the order gap; f is read off the rewritten cell, so it is
-    # checked against meet itself
+    # strictly inside the order gap; the step reads f off the rewritten cell,
+    # so it is checked against meet itself and against the step's factorization
     for n in range(2, 17):
         for a in oracle_ln(n)[:-1]:
-            cand, f, m, _, _ = _successor_parts(a, n)
-            assert f == meet(a, cand), (n, a)
+            cand, _ = lexical_successor_candidate(a)
+            f = meet(a, cand)
             assert compare(a, f) == LESS
             assert compare(f, cand) == LESS
             assert is_lexical(f)
-            assert 1 + degree(f) == m
+            succ, fac = _successor_parts(a, n)
+            if fac is None:
+                assert succ == cand, (n, a)
+                assert n % (1 + degree(f)) != 0
+            else:
+                assert fac.g == f, (n, a)
+                assert fac.m == 1 + degree(f)
+                assert succ == star(f, fac.lam)
 
 
 def test_doubled_class_surface_is_lexical():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alphaseq
 from alphaseq import cli
 from alphaseq.core import format_sequence, harmonic, least_element, parse_sequence, star
 from alphaseq.oracle import OracleReport, oracle_dn
@@ -94,6 +99,26 @@ def test_list_csv(capsys):
     assert out.splitlines()[0] == "1,3"
     code, out, _ = run(capsys, "list", "--set", "dn", "8", "--format", "csv", "--limit", "1")
     assert out == "0\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_list_ends_quietly_when_the_reader_closes_the_pipe(fmt):
+    # the L_18 listing (about 124 KB) outgrows a 64 KiB pipe buffer, so the
+    # child is still writing when the reader goes away
+    src = str(Path(alphaseq.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "alphaseq", "list", "--set", "ln", "18", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    # the JSON record is one line, so read one byte of it
+    first = child.stdout.read(1) if fmt == "json" else child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert first and child.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_list_cap(capsys, monkeypatch):

@@ -85,7 +85,7 @@ def test_compare_transitive(a, b, c):
         ((3, 1, 3), False),
         (ZERO, True),
         ((1,), True),
-        ([2, 1, 2, 1], True),  # any sequence type, though lexicality is cached
+        ([2, 1, 2, 1], True),  # a list is accepted too
     ],
 )
 def test_is_lexical_examples(a, expected):
@@ -178,6 +178,18 @@ def test_degree_laws_exhaustive():
         for b in pool:
             assert degree(a + b) == degree(a) + degree(b)
             assert 1 + degree(star(a, b)) == (1 + degree(a)) * (1 + degree(b))
+
+
+def test_harmonics_meet_the_star_product_only_at_powers_of_two():
+    # the D_n steps insert the harmonics of f below star(f, least_element(d)):
+    # h_k(f) is that product for d = 2**k and differs from it for odd d / 2**k > 1
+    for m in range(1, 13):
+        for f in oracle_ln(m):
+            for k in range(4):
+                h = harmonic(k, f)
+                assert h == star(f, least_element(2**k)), (f, k)
+                for t in (1, 2):
+                    assert h != star(f, least_element(2**k * (2 * t + 1))), (f, k, t)
 
 
 def test_star_of_lexicals_is_lexical():
