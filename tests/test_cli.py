@@ -115,9 +115,8 @@ def test_list_ends_quietly_when_the_reader_closes_the_pipe(fmt):
     # the JSON record is one line, so read one byte of it
     first = child.stdout.read(1) if fmt == "json" else child.stdout.readline()
     child.stdout.close()
-    err = child.stderr.read()
-    child.stderr.close()
-    assert first and child.wait(timeout=60) == 0
+    _, err = child.communicate(timeout=60)
+    assert first and child.returncode == 0
     assert err == b""
 
 
