@@ -4,10 +4,13 @@ Subcommands: list, succ, pred, lexical, compare, meet, star, harmonic,
 least, verify. ``succ --set dn`` and ``pred --set dn`` print the whole
 insertion burst of one L_n step, one element per line. Sequences are
 written as comma-separated positive integers ("3,1,2,1"); the zero
-sequence is the literal "0". ``least``, ``harmonic`` and ``star`` refuse
-an output of more than ``MAX_CELLS`` cells as a domain error. Exit codes:
-0 success, 1 usage error, 2 domain error, 3 verification mismatch; output cut
-short by its reader closing the pipe also exits 0.
+sequence is the literal "0". ``list`` streams in every format: a CSV row is
+the text line, and the JSON record, written a chunk of items at a time, takes
+its ``count`` from the closed forms of ``oracle.cardinality``. ``least``,
+``harmonic`` and ``star`` refuse an output of more than ``MAX_CELLS`` cells as
+a domain error. Exit codes: 0 success, 1 usage error, 2 domain error, 3
+verification mismatch; output cut short by its reader closing the pipe also
+exits 0.
 """
 
 from __future__ import annotations
@@ -120,21 +123,25 @@ def _cmd_list(args) -> int:
     stream = walk(args.n)
     if args.limit is not None:
         stream = islice(stream, args.limit)
-    if args.format == "text":
+    if args.format != "json":
+        # a CSV row of positive integers needs no quoting, so it is the text line ("0" included)
         sys.stdout.writelines(f"{format_sequence(seq)}\n" for seq in stream)
-    elif args.format == "csv":
-        import csv
+        return EXIT_OK
+    import json
 
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for seq in stream:
-            writer.writerow(seq if seq else (0,))
-    else:
-        import json
-
-        # the zero sequence is the empty array
-        items = [list(seq) for seq in stream]
-        record = {"n": args.n, "set": args.set_name, "count": len(items), "items": items}
-        print(json.dumps(record, separators=(",", ":")))
+    # "count" precedes "items", so it comes from the closed form, not from the stream.
+    # The items are encoded 4096 at a time (an encoder call per item is slower), so memory
+    # stays bounded; the zero sequence is the empty array.
+    count = oracle.cardinality(args.set_name, args.n)
+    if args.limit is not None:
+        count = min(args.limit, count)
+    write = sys.stdout.write
+    write(f'{{"n":{args.n},"set":"{args.set_name}","count":{count},"items":[')
+    sep = ""
+    while chunk := list(islice(stream, 4096)):
+        write(sep + json.dumps(chunk, separators=(",", ":"))[1:-1])
+        sep = ","
+    write("]}\n")
     return EXIT_OK
 
 

@@ -1,9 +1,11 @@
-"""Brute-force ground truth: exhaustive generation, definitional filtering, sorting.
+"""Ground truth without the walks: brute-force sets and closed-form counts.
 
-Nothing here knows about the adjacency machinery. The only shared logic is the
-comparator, the definitional lexicality test (restated locally against plain
-suffixes) and the cap reader, so the oracle stays an independent route to the
-same sets.
+The brute-force route generates every composition, filters with the
+definitional lexicality test and sorts. :func:`cardinality` gives the size of
+each set from its closed form, with no enumeration at all. Nothing here knows
+about the adjacency machinery. The only shared logic is the comparator, the
+definitional lexicality test (restated locally against plain suffixes) and the
+cap reader, so the oracle stays an independent route to the same sets.
 """
 
 from __future__ import annotations
@@ -63,6 +65,31 @@ def oracle_dn(n: int) -> list[AlphaSeq]:
         if n % d == 0:
             members.extend(oracle_ln(d))
     return sorted(members, key=cmp_to_key(compare))
+
+
+def cardinality(set_name: str, n: int) -> int:
+    """|A_n|, |L_n| or |D_n| for ``set_name`` "an", "ln" or "dn", from the closed forms.
+
+    |A_n| = 2^(n-1); |L_n| = (1/2n) sum over odd d | n of mu(d) 2^(n/d), the
+    primitive binary necklaces modulo complementation (OEIS A000048;
+    Metropolis, Stein, Stein, J. Combin. Theory A 15, 1973); and
+    |D_n| = sum over d | n of |L_d|.
+    """
+    if n < 1:
+        raise InvalidN(f"n must be >= 1, got {n}")
+    if set_name == "an":
+        return 2 ** (n - 1)
+    if set_name == "ln":
+        return _ln_count(n)
+    if set_name == "dn":
+        return sum(_ln_count(d) for d in range(1, n + 1) if n % d == 0)
+    raise ValueError(f"unknown set {set_name!r}")
+
+
+def _ln_count(n: int) -> int:
+    # 2^n = sum over odd e | n of 2(n/e)|L_{n/e}|, the Moebius inversion of the closed form
+    rest = sum(2 * (n // e) * _ln_count(n // e) for e in range(3, n + 1, 2) if n % e == 0)
+    return (2**n - rest) // (2 * n)
 
 
 def oracle_adjacent(

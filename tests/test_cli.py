@@ -1,3 +1,6 @@
+import csv
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import alphaseq
-from alphaseq import cli
+from alphaseq import cli, enumeration
 from alphaseq.core import format_sequence, harmonic, least_element, parse_sequence, star
 from alphaseq.oracle import OracleReport, oracle_dn
 
@@ -80,6 +83,52 @@ def test_list_dn_desc_is_the_reversed_ascending_listing(capsys):
         record = json.loads(up)
         record["items"].reverse()
         assert down == json.dumps(record, separators=(",", ":")) + "\n", n
+
+
+@pytest.mark.parametrize("set_name", ["an", "ln", "dn"])
+def test_list_formats_render_the_walk(capsys, set_name):
+    for n, desc in itertools.product(range(1, 17), (False, True)):
+        walk = getattr(enumeration, f"enumerate_{set_name}{'_descending' if desc else ''}")
+        items = list(walk(n))
+        for limit in (None, 0, 1, 5):
+            argv = ["list", "--set", set_name, str(n)] + ["--desc"] * desc
+            argv += [] if limit is None else ["--limit", str(limit)]
+            head = items[:limit]
+            record = {"n": n, "set": set_name, "count": len(head), "items": head}
+            json_line = json.dumps(record, separators=(",", ":")) + "\n"
+            assert run(capsys, *argv, "--format", "json") == (0, json_line, ""), argv
+            text = "".join(format_sequence(a) + "\n" for a in head)
+            rows = io.StringIO()
+            csv.writer(rows, lineterminator="\n").writerows(a or (0,) for a in head)
+            assert rows.getvalue() == text, argv
+            assert run(capsys, *argv, "--format", "csv") == run(capsys, *argv) == (0, text, ""), argv
+
+
+# Reads the peak RSS of one child, which it spawns with stdout on /dev/null. Linux
+# carries the spawner's RSS high-water mark into an exec'd child, so the child is
+# spawned from this small process and not from the test process.
+PEAK_RSS_KB = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,"
+    " file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_list_json_memory_stays_near_text():
+    # A_18 has 131 072 items; a record built whole peaked 27 MB above the text listing
+    src = str(Path(alphaseq.__file__).resolve().parents[1])
+    peaks = {}
+    for fmt in ("text", "json"):
+        argv = ["-m", "alphaseq", "list", "--set", "an", "18", "--format", fmt]
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_KB, *argv],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        code, peaks[fmt] = map(int, done.stdout.split())
+        assert (code, done.stderr) == (0, ""), fmt
+    assert peaks["json"] < peaks["text"] + 10 * 1024, peaks
 
 
 def test_list_json_round_trips(capsys):

@@ -13,7 +13,7 @@ from alphaseq.enumeration import (
     enumerate_ln_descending,
 )
 from alphaseq.errors import CapExceeded, InvalidN
-from alphaseq.oracle import oracle_an, oracle_dn, oracle_ln
+from alphaseq.oracle import cardinality, oracle_an, oracle_dn, oracle_ln
 
 A4 = [(1, 3), (1, 2, 1), (1, 1, 1, 1), (1, 1, 2), (2, 2), (2, 1, 1), (3, 1), (4,)]
 
@@ -95,6 +95,22 @@ def test_cardinalities():
             sum(1 for _ in enumerate_ln(d)) for d in range(1, n + 1) if n % d == 0
         )
         assert dn == ln_sizes
+
+
+@pytest.mark.parametrize("set_name, walk, oracle_set", [
+    ("an", enumerate_an, oracle_an),
+    ("ln", enumerate_ln, oracle_ln),
+    ("dn", enumerate_dn, oracle_dn),
+])
+def test_closed_form_cardinality(set_name, walk, oracle_set):
+    for n in range(1, 21):
+        assert cardinality(set_name, n) == len(oracle_set(n)), n
+    for n in (21, 22):
+        assert cardinality(set_name, n) == sum(1 for _ in walk(n)), n
+    with pytest.raises(InvalidN):
+        cardinality(set_name, 0)
+    with pytest.raises(ValueError, match="unknown set"):
+        cardinality(set_name.upper(), 1)
 
 
 def test_streams_strictly_ascend():
