@@ -37,6 +37,14 @@ def conjugate(a: AlphaSeq, i: int) -> AlphaSeq:
 
 def apply_at(a: AlphaSeq, i: int) -> AlphaSeq:
     """Split at i when the value is >= 2, conjugate when it is 1."""
+    # Every walk step and candidate probe lands here, so a valid rewrite is
+    # built inline; anything else raises from split or conjugate.
+    if 1 <= i <= len(a):
+        v = a[i - 1]
+        if v >= 2:
+            return a[: i - 1] + (v - 1, 1) + a[i:]
+        if v == 1 and i >= 2:
+            return a[: i - 2] + (a[i - 2] + 1,) + a[i:]
     return split(a, i) if a[i - 1] >= 2 else conjugate(a, i)
 
 

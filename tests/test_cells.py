@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -11,8 +13,17 @@ from alphaseq.cells import (
     split,
     successor_an,
 )
-from alphaseq.core import GREATER, LESS, compare, degree, extend_even, extend_odd
-from alphaseq.errors import Maximal, Minimal, NotConjugatable, NotSplittable
+from alphaseq.core import (
+    GREATER,
+    LESS,
+    compare,
+    degree,
+    extend_even,
+    extend_odd,
+    format_sequence,
+    is_lexical,
+)
+from alphaseq.errors import Maximal, Minimal, NoCandidate, NotConjugatable, NotSplittable
 from alphaseq.oracle import oracle_an
 
 from conftest import nonempty_sequences, sequences_up_to_degree
@@ -61,6 +72,70 @@ def test_apply_at_dispatch():
 def test_apply_at_rejects_out_of_range_positions(a, i):
     with pytest.raises(IndexError):
         apply_at(a, i)
+
+
+# The dispatch through split and conjugate alone, and the steps and scans built on it:
+# apply_at builds a valid rewrite inline, and must agree with these on every input.
+def _dispatch(a, i):
+    return split(a, i) if a[i - 1] >= 2 else conjugate(a, i)
+
+
+def _successor_an(a):
+    if len(a) < 2:
+        raise Maximal(f"{format_sequence(a)} is the maximal element of its A_n")
+    return _dispatch(a, len(a) - len(a) % 2)
+
+
+def _predecessor_an(a):
+    if not a:
+        raise Minimal("the zero sequence is not a member of any A_n")
+    i = len(a) if len(a) % 2 == 1 else len(a) - 1
+    if i == 1 and a[0] == 1:
+        raise Minimal(f"{format_sequence(a)} is the minimal element of its A_n")
+    return _dispatch(a, i)
+
+
+def _successor_candidate(a):
+    for i in range(len(a) - len(a) % 2, 1, -2):
+        cand = _dispatch(a, i)
+        if is_lexical(cand):
+            return cand, i
+    raise NoCandidate(f"no negative-cell rewrite of {format_sequence(a)} is lexical")
+
+
+def _predecessor_candidate(a):
+    start = len(a) if len(a) % 2 == 1 else len(a) - 1
+    for i in range(start, 0, -2):
+        if i == 1 and a[0] == 1:
+            break
+        cand = _dispatch(a, i)
+        if is_lexical(cand):
+            return cand, i
+    raise NoCandidate(f"no positive-cell rewrite of {format_sequence(a)} is lexical")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the error type and message are part of the contract
+        return type(exc), str(exc)
+
+
+def test_rewrites_match_the_split_conjugate_dispatch_on_every_small_input():
+    # cells outside 1.. and positions outside 1..len(a) included: a merge at
+    # position 1 must raise, not read a[-1]
+    pairs = [
+        (successor_an, _successor_an),
+        (predecessor_an, _predecessor_an),
+        (lexical_successor_candidate, _successor_candidate),
+        (lexical_predecessor_candidate, _predecessor_candidate),
+    ]
+    for k in range(6):
+        for a in itertools.product((-1, 0, 1, 2, 3), repeat=k):
+            for i in range(-6, 7):
+                assert _outcome(apply_at, a, i) == _outcome(_dispatch, a, i), (a, i)
+            for f, ref in pairs:
+                assert _outcome(f, a) == _outcome(ref, a), (f.__name__, a)
 
 
 def test_matches_the_closure_form_of_the_rewrites():

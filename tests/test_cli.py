@@ -33,6 +33,9 @@ def test_list_limit_prefix(capsys):
     code, out, _ = run(capsys, "list", "--set", "dn", "8", "--limit", "3")
     assert code == 0
     assert out == "0\n1\n2,1\n"
+    code, out, _ = run(capsys, "list", "--set", "dn", "8")
+    assert code == 0
+    assert out.splitlines() == ["0"] + [format_sequence(a) for a in oracle_dn(8)[1:]]
 
 
 def test_list_desc(capsys):
@@ -90,7 +93,8 @@ def test_list_formats_render_the_walk(capsys, set_name):
     for n, desc in itertools.product(range(1, 17), (False, True)):
         walk = getattr(enumeration, f"enumerate_{set_name}{'_descending' if desc else ''}")
         items = list(walk(n))
-        for limit in (None, 0, 1, 5):
+        # 63..65 and 128 sit on the seams of the 64-item chunks that list encodes
+        for limit in (None, 0, 1, 5, 63, 64, 65, 128):
             argv = ["list", "--set", set_name, str(n)] + ["--desc"] * desc
             argv += [] if limit is None else ["--limit", str(limit)]
             head = items[:limit]
@@ -102,6 +106,26 @@ def test_list_formats_render_the_walk(capsys, set_name):
             csv.writer(rows, lineterminator="\n").writerows(a or (0,) for a in head)
             assert rows.getvalue() == text, argv
             assert run(capsys, *argv, "--format", "csv") == run(capsys, *argv) == (0, text, ""), argv
+
+
+class _Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text.encode()))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_list_streams_in_writes_below_a_stdout_block(monkeypatch, fmt):
+    # A_14 (8192 items, about 100 KB) leaves in many writes, none above one 8 KiB block
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.run(["list", "--set", "an", "14", "--format", fmt]) == 0
+    assert len(out.sizes) > 1 and max(out.sizes) <= 8192, (len(out.sizes), max(out.sizes))
+    assert sum(out.sizes) == len(out.getvalue().encode())
 
 
 # Reads the peak RSS of one child, which it spawns with stdout on /dev/null. Linux
