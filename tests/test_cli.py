@@ -120,7 +120,7 @@ class _Writes(io.StringIO):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_list_streams_in_writes_below_a_stdout_block(monkeypatch, fmt):
-    # A_14 (8192 items, about 100 KB) leaves in many writes, none above one 8 KiB block
+    # A_14 (8192 items, 123 KB of text) leaves in many writes, none above one 8 KiB block
     out = _Writes()
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.run(["list", "--set", "an", "14", "--format", fmt]) == 0
