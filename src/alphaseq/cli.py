@@ -227,7 +227,7 @@ def _cmd_verify(args) -> int:
     for rep in reports:
         label = f"{rep.set_kind}_{rep.n}"
         if rep.ok:
-            print(f"{label}: ok ({len(rep.expected)} elements)")
+            print(f"{label}: ok ({rep.count} elements)")
         else:
             worst = EXIT_MISMATCH
             pos, exp, got = rep.mismatches[0]

@@ -6,12 +6,16 @@ each set from its closed form, with no enumeration at all. Nothing here knows
 about the adjacency machinery. The only shared logic is the comparator, the
 definitional lexicality test (restated locally against plain suffixes) and the
 cap reader, so the oracle stays an independent route to the same sets.
+:func:`verify_range` holds one set at a time: each walk streams against the
+oracle's list, and the report keeps only its length, ``count``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import cmp_to_key
+from itertools import zip_longest
 
 from .caps import ORACLE_CAP
 from .core import GREATER, AlphaSeq, ZERO, compare
@@ -105,11 +109,12 @@ def oracle_adjacent(
     return pred, succ
 
 
-class OracleReport(namedtuple("OracleReport", "n set_kind expected mismatches")):
+class OracleReport(namedtuple("OracleReport", "n set_kind count mismatches")):
     """Element-by-element comparison of one enumerated set against the oracle.
 
-    ``set_kind`` is "A", "L" or "D"; ``mismatches`` holds the
-    (position, expected, actual) triples of :func:`diff_ordered`.
+    ``set_kind`` is "A", "L" or "D"; ``count`` is the length of the oracle's list,
+    which the report does not keep; ``mismatches`` holds the (position, expected,
+    actual) triples of :func:`diff_ordered`.
     """
 
     __slots__ = ()
@@ -120,21 +125,15 @@ class OracleReport(namedtuple("OracleReport", "n set_kind expected mismatches"))
 
 
 def diff_ordered(
-    expected: list[AlphaSeq], actual: list[AlphaSeq]
+    expected: list[AlphaSeq], actual: Iterable[AlphaSeq]
 ) -> list[tuple[int, AlphaSeq | None, AlphaSeq | None]]:
-    """(position, expected, actual) triples wherever the two lists disagree."""
-    out = []
-    for i in range(max(len(expected), len(actual))):
-        e = expected[i] if i < len(expected) else None
-        g = actual[i] if i < len(actual) else None
-        if e != g:
-            out.append((i, e, g))
-    return out
+    """(position, expected, actual) triples wherever the list and the stream disagree."""
+    return [(i, e, g) for i, (e, g) in enumerate(zip_longest(expected, actual)) if e != g]
 
 
 def verify_range(n_min: int, n_max: int) -> list[OracleReport]:
     """Check the adjacency-driven enumerations of A_n, L_n, D_n against the
-    brute-force lists for every n in [n_min, n_max]."""
+    brute-force lists for every n in [n_min, n_max], one set at a time."""
     from . import enumeration  # local import: oracle must not be a dependency of enumeration
 
     if n_min < 1 or n_min > n_max:
@@ -148,6 +147,5 @@ def verify_range(n_min: int, n_max: int) -> list[OracleReport]:
             ("D", oracle_dn, enumeration.enumerate_dn),
         ):
             expected = oracle_fn(n)
-            actual = list(enum_fn(n))
-            reports.append(OracleReport(n, kind, expected, diff_ordered(expected, actual)))
+            reports.append(OracleReport(n, kind, len(expected), diff_ordered(expected, enum_fn(n))))
     return reports

@@ -128,30 +128,12 @@ def test_list_streams_in_writes_below_a_stdout_block(monkeypatch, fmt):
     assert sum(out.sizes) == len(out.getvalue().encode())
 
 
-# Reads the peak RSS of one child, which it spawns with stdout on /dev/null. Linux
-# carries the spawner's RSS high-water mark into an exec'd child, so the child is
-# spawned from this small process and not from the test process.
-PEAK_RSS_KB = (
-    "import os, sys\n"
-    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,"
-    " file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])\n"
-    "_, status, usage = os.wait4(pid, 0)\n"
-    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-)
-
-
-def test_list_json_memory_stays_near_text():
+def test_list_json_memory_stays_near_text(peak_rss_kb):
     # A_18 has 131 072 items; a record built whole peaked 27 MB above the text listing
-    src = str(Path(alphaseq.__file__).resolve().parents[1])
-    peaks = {}
-    for fmt in ("text", "json"):
-        argv = ["-m", "alphaseq", "list", "--set", "an", "18", "--format", fmt]
-        done = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_KB, *argv],
-            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
-        )
-        code, peaks[fmt] = map(int, done.stdout.split())
-        assert (code, done.stderr) == (0, ""), fmt
+    peaks = {
+        fmt: peak_rss_kb("-m", "alphaseq", "list", "--set", "an", "18", "--format", fmt)
+        for fmt in ("text", "json")
+    }
     assert peaks["json"] < peaks["text"] + 10 * 1024, peaks
 
 
@@ -325,7 +307,7 @@ def test_verify_ok(capsys):
 
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
-    bad = OracleReport(4, "A", [(1, 3), (2, 2)], [(1, (2, 2), (1, 1, 2))])
+    bad = OracleReport(4, "A", 2, [(1, (2, 2), (1, 1, 2))])
     monkeypatch.setattr(cli.oracle, "verify_range", lambda lo, hi: [bad])
     code, out, _ = run(capsys, "verify", "4", "4")
     assert code == 3

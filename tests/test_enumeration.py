@@ -13,7 +13,7 @@ from alphaseq.enumeration import (
     enumerate_ln_descending,
 )
 from alphaseq.errors import CapExceeded, InvalidN
-from alphaseq.oracle import cardinality, oracle_an, oracle_dn, oracle_ln
+from alphaseq.oracle import all_compositions, cardinality, oracle_an, oracle_dn, oracle_ln
 
 A4 = [(1, 3), (1, 2, 1), (1, 1, 1, 1), (1, 1, 2), (2, 2), (2, 1, 1), (3, 1), (4,)]
 
@@ -97,8 +97,9 @@ def test_cardinalities():
         assert dn == ln_sizes
 
 
+# A_n is counted unsorted: its size needs no comparator sort
 @pytest.mark.parametrize("set_name, walk, oracle_set", [
-    ("an", enumerate_an, oracle_an),
+    ("an", enumerate_an, all_compositions),
     ("ln", enumerate_ln, oracle_ln),
     ("dn", enumerate_dn, oracle_dn),
 ])

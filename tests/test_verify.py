@@ -1,0 +1,67 @@
+import pytest
+
+from alphaseq import cli, enumeration
+from alphaseq.oracle import OracleReport, cardinality, diff_ordered, oracle_ln, verify_range
+
+L9 = oracle_ln(9)
+
+
+def diff_by_index(expected, actual):
+    # positional reference on two lists, the comparison diff_ordered makes in one pass
+    out = []
+    for i in range(max(len(expected), len(actual))):
+        e = expected[i] if i < len(expected) else None
+        g = actual[i] if i < len(actual) else None
+        if e != g:
+            out.append((i, e, g))
+    return out
+
+
+@pytest.mark.parametrize("actual", [
+    pytest.param(L9, id="equal"),
+    pytest.param(L9[:3] + L9[4:], id="dropped"),
+    pytest.param(L9[:4] + L9[3:], id="repeated"),
+    pytest.param(L9[:2] + [L9[3], L9[2]] + L9[4:], id="swapped"),
+    pytest.param(L9 + [(9,)], id="extra-at-end"),
+    pytest.param(L9[:-1], id="missing-at-end"),
+    pytest.param([], id="empty"),
+])
+def test_diff_ordered_streams_as_it_diffs_lists(actual):
+    want = diff_by_index(L9, actual)
+    assert diff_ordered(L9, actual) == want
+    assert diff_ordered(L9, iter(actual)) == want
+    assert diff_ordered(L9, (a for a in actual)) == want
+    assert (want == []) == (actual == L9)
+
+
+def test_report_counts_are_the_closed_forms():
+    assert OracleReport._fields == ("n", "set_kind", "count", "mismatches")
+    reports = verify_range(1, 12)
+    assert [(r.n, r.set_kind) for r in reports] == [(n, k) for n in range(1, 13) for k in "ALD"]
+    for r in reports:
+        assert r.ok, r
+        assert r.count == cardinality(r.set_kind.lower() + "n", r.n), r
+
+
+def test_a_broken_walk_is_reported_against_the_oracle(monkeypatch, capsys):
+    walk = enumeration.enumerate_ln
+
+    def drops_the_third(n):
+        return (a for i, a in enumerate(walk(n)) if i != 2)
+
+    monkeypatch.setattr(enumeration, "enumerate_ln", drops_the_third)
+    [_, bad, _] = verify_range(9, 9)
+    assert (bad.set_kind, bad.count) == ("L", len(L9))
+    assert bad.mismatches == diff_by_index(L9, L9[:2] + L9[3:])
+    assert cli.run(["verify", "9", "9"]) == cli.EXIT_MISMATCH
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"A_9: ok ({2 ** 8} elements)"
+    assert out[1].startswith("L_9: MISMATCH at position 2: expected ")
+    assert out[1].endswith(f" ({len(L9) - 2} total)")
+
+
+def test_verify_holds_one_set_at_a_time(peak_rss_kb):
+    # A_18 is the largest set of `verify 1 18`; keeping every list peaked about 34 MB higher
+    alone = peak_rss_kb("-c", "from alphaseq.oracle import oracle_an; oracle_an(18)")
+    verify = peak_rss_kb("-m", "alphaseq", "verify", "1", "18")
+    assert verify <= alone + 8 * 1024, (verify, alone)
