@@ -5,7 +5,8 @@ Usage: python3 scripts/listing_digests.py > digests.txt
 The ``list`` grid is an/ln/dn x ascending/--desc x text/csv/json x --limit
 absent, -1, 0, 1, 64, 65 x n in {0, 1, 2, 3, 6, 8, 12, 16, 18, 31}; n = 0,
 n = 31 and --limit -1 are the error exits. ``verify`` runs over [1, 1], [1, 8],
-[1, 14] and [12, 12], and over the error exits [0, 3], [5, 4] and [1, 21].
+[1, 14], [12, 12] and [15, 16], and over the error exits [0, 3], [5, 4] and
+[1, 21].
 Each digest covers the exit code, stderr and stdout of one in-process run of
 the checkout this script belongs to, so diffing the output of two checkouts
 shows any change in what ``list`` or ``verify`` prints.
@@ -32,7 +33,7 @@ COMMANDS = [
     *(["list", "--set", set_name, str(n), *desc, "--format", fmt, *limit]
       for set_name, desc, fmt, limit, n in LIST_GRID),
     *(["verify", lo, hi] for lo, hi in (("1", "1"), ("1", "8"), ("1", "14"), ("12", "12"),
-                                        ("0", "3"), ("5", "4"), ("1", "21"))),
+                                        ("15", "16"), ("0", "3"), ("5", "4"), ("1", "21"))),
 ]
 
 for argv in COMMANDS:

@@ -9,7 +9,8 @@ encoder: the C JSON encoder renders the walk 64 items at a time, and the text
 lines (a CSV row is the text line) are cut out of that JSON. The JSON record
 takes its ``count`` from the closed forms of ``oracle.cardinality``. ``least``,
 ``harmonic`` and ``star`` refuse an output of more than ``MAX_CELLS`` cells as
-a domain error. Exit codes: 0 success, 1 usage error, 2 domain error, 3
+a domain error. ``verify`` prints and flushes each set's line as soon as that
+set is certified. Exit codes: 0 success, 1 usage error, 2 domain error, 3
 verification mismatch; output cut short by its reader closing the pipe also
 exits 0.
 """
@@ -222,12 +223,11 @@ def _cmd_least(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = oracle.verify_range(args.n_min, args.n_max)
     worst = EXIT_OK
-    for rep in reports:
+    for rep in oracle._reports(args.n_min, args.n_max):
         label = f"{rep.set_kind}_{rep.n}"
         if rep.ok:
-            print(f"{label}: ok ({rep.count} elements)")
+            print(f"{label}: ok ({rep.count} elements)", flush=True)
         else:
             worst = EXIT_MISMATCH
             pos, exp, got = rep.mismatches[0]
@@ -235,7 +235,8 @@ def _cmd_verify(args) -> int:
             got_s = format_sequence(got) if got is not None else "<missing>"
             print(
                 f"{label}: MISMATCH at position {pos}: expected {exp_s}, got {got_s}"
-                f" ({len(rep.mismatches)} total)"
+                f" ({len(rep.mismatches)} total)",
+                flush=True,
             )
     return worst
 

@@ -1,19 +1,22 @@
 """Ground truth without the walks: brute-force sets and closed-form counts.
 
 The brute-force route generates every composition, filters with the
-definitional lexicality test and sorts. :func:`cardinality` gives the size of
-each set from its closed form, with no enumeration at all. Nothing here knows
-about the adjacency machinery. The only shared logic is the comparator, the
-definitional lexicality test (restated locally against plain suffixes) and the
-cap reader, so the oracle stays an independent route to the same sets.
-:func:`verify_range` holds one set at a time: each walk streams against the
-oracle's list, and the report keeps only its length, ``count``.
+definitional lexicality test and sorts. The compositions come out already in
+ascending comparator order, so each sort finds one sorted run and costs one
+comparison per element; the sort still decides the order, not the generation.
+:func:`cardinality` gives the size of each set from its closed form, with no
+enumeration at all. Nothing here knows about the adjacency machinery. The only
+shared logic is the comparator, the definitional lexicality test (restated
+locally against plain suffixes) and the cap reader, so the oracle stays an
+independent route to the same sets. :func:`verify_range` holds one set at a
+time and builds each L_n once: each walk streams against the oracle's list,
+and the report keeps only its length, ``count``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cmp_to_key
 from itertools import zip_longest
 
@@ -28,7 +31,7 @@ def _lexical(a: AlphaSeq) -> bool:
 
 
 def all_compositions(n: int) -> list[AlphaSeq]:
-    """All 2**(n-1) ordered compositions of n into parts >= 1 (generation order)."""
+    """All 2**(n-1) ordered compositions of n into parts >= 1, in ascending comparator order."""
     ORACLE_CAP.check(n)
     out: list[AlphaSeq] = []
 
@@ -36,7 +39,10 @@ def all_compositions(n: int) -> list[AlphaSeq]:
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        for first in range(1, remaining + 1):
+        # siblings first differ at this cell, which counts positive at an even
+        # 0-based index and negative at an odd one
+        firsts = range(1, remaining + 1)
+        for first in firsts if len(prefix) % 2 == 0 else reversed(firsts):
             prefix.append(first)
             rec(remaining - first, prefix)
             prefix.pop()
@@ -62,13 +68,13 @@ def oracle_ln(n: int) -> list[AlphaSeq]:
 
 def oracle_dn(n: int) -> list[AlphaSeq]:
     """D_n as the sorted union of L_d over the divisors d of n."""
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
-    members: list[AlphaSeq] = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            members.extend(oracle_ln(d))
-    return sorted(members, key=cmp_to_key(compare))
+    return _dn_from_ln(n, oracle_ln(n))
+
+
+def _dn_from_ln(n: int, ln: list[AlphaSeq]) -> list[AlphaSeq]:
+    # D_n from a built L_n: only the proper divisors' L_d are built here
+    members = [a for d in range(1, n) if n % d == 0 for a in oracle_ln(d)]
+    return sorted(members + ln, key=cmp_to_key(compare))
 
 
 def cardinality(set_name: str, n: int) -> int:
@@ -134,18 +140,22 @@ def diff_ordered(
 def verify_range(n_min: int, n_max: int) -> list[OracleReport]:
     """Check the adjacency-driven enumerations of A_n, L_n, D_n against the
     brute-force lists for every n in [n_min, n_max], one set at a time."""
+    return list(_reports(n_min, n_max))
+
+
+def _reports(n_min: int, n_max: int) -> Iterator[OracleReport]:
+    # verify_range's reports, each yielded as soon as its set is compared
     from . import enumeration  # local import: oracle must not be a dependency of enumeration
 
     if n_min < 1 or n_min > n_max:
         raise InvalidN(f"bad range [{n_min}, {n_max}]")
     ORACLE_CAP.check(n_max)
-    reports = []
     for n in range(n_min, n_max + 1):
-        for kind, oracle_fn, enum_fn in (
-            ("A", oracle_an, enumeration.enumerate_an),
-            ("L", oracle_ln, enumeration.enumerate_ln),
-            ("D", oracle_dn, enumeration.enumerate_dn),
-        ):
-            expected = oracle_fn(n)
-            reports.append(OracleReport(n, kind, len(expected), diff_ordered(expected, enum_fn(n))))
-    return reports
+        yield _report(n, "A", oracle_an(n), enumeration.enumerate_an(n))
+        ln = oracle_ln(n)
+        yield _report(n, "L", ln, enumeration.enumerate_ln(n))
+        yield _report(n, "D", _dn_from_ln(n, ln), enumeration.enumerate_dn(n))
+
+
+def _report(n: int, kind: str, expected: list[AlphaSeq], actual: Iterable[AlphaSeq]) -> OracleReport:
+    return OracleReport(n, kind, len(expected), diff_ordered(expected, actual))

@@ -308,7 +308,7 @@ def test_verify_ok(capsys):
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     bad = OracleReport(4, "A", 2, [(1, (2, 2), (1, 1, 2))])
-    monkeypatch.setattr(cli.oracle, "verify_range", lambda lo, hi: [bad])
+    monkeypatch.setattr(cli.oracle, "_reports", lambda lo, hi: [bad])
     code, out, _ = run(capsys, "verify", "4", "4")
     assert code == 3
     assert "MISMATCH at position 1" in out

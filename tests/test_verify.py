@@ -1,6 +1,17 @@
+import os
+import random
+import select
+import subprocess
+import sys
+from collections import Counter
+from functools import cmp_to_key
+from pathlib import Path
+
 import pytest
 
-from alphaseq import cli, enumeration
+import alphaseq
+from alphaseq import cli, enumeration, oracle
+from alphaseq.core import compare
 from alphaseq.oracle import OracleReport, cardinality, diff_ordered, oracle_ln, verify_range
 
 L9 = oracle_ln(9)
@@ -65,3 +76,74 @@ def test_verify_holds_one_set_at_a_time(peak_rss_kb):
     alone = peak_rss_kb("-c", "from alphaseq.oracle import oracle_an; oracle_an(18)")
     verify = peak_rss_kb("-m", "alphaseq", "verify", "1", "18")
     assert verify <= alone + 8 * 1024, (verify, alone)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_compositions_come_in_comparator_order(n):
+    compositions = oracle.all_compositions(n)
+    assert compositions == sorted(compositions, key=cmp_to_key(compare))
+
+
+@pytest.mark.parametrize("reorder", [
+    pytest.param(lambda items: items[::-1], id="reversed"),
+    pytest.param(lambda items: random.Random(1401).sample(items, len(items)), id="shuffled"),
+])
+def test_the_sort_decides_the_order_not_the_generation(monkeypatch, reorder):
+    builds = (oracle.oracle_an, oracle.oracle_ln, oracle.oracle_dn)
+    want = [build(n) for build in builds for n in range(1, 13)]
+    generate = oracle.all_compositions
+    monkeypatch.setattr(oracle, "all_compositions", lambda n: reorder(generate(n)))
+    assert [build(n) for build in builds for n in range(1, 13)] == want
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_sorting_a_n_compares_each_neighbouring_pair_once(monkeypatch, n):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return compare(a, b)
+
+    monkeypatch.setattr(oracle, "compare", counted)
+    oracle.oracle_an(n)
+    assert len(calls) == 2 ** (n - 1) - 1
+
+
+def test_verify_builds_each_l_n_once(monkeypatch):
+    built = Counter()
+    build = oracle.oracle_ln
+
+    def counted(n):
+        built[n] += 1
+        return build(n)
+
+    monkeypatch.setattr(oracle, "oracle_ln", counted)
+    verify_range(1, 12)
+    # once for its own L report, then once for each D_m of which it is a proper divisor
+    assert built == {d: 1 + sum(m % d == 0 for m in range(d + 1, 13)) for d in range(1, 13)}
+
+
+def test_verify_flushes_each_set_before_building_the_next():
+    # the child blocks before building L_4 until its stdin closes, so A_4's
+    # line can only reach the pipe by then if verify printed and flushed it
+    src = str(Path(alphaseq.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from alphaseq import cli, oracle\n"
+        "build = oracle.oracle_ln\n"
+        "oracle.oracle_ln = lambda n: (sys.stdin.read(), build(n))[1]\n"
+        "sys.exit(cli.run(['verify', '4', '4']))\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as child:
+        ready, _, _ = select.select([child.stdout], [], [], 60)
+        first = child.stdout.readline() if ready else b""
+        child.stdin.close()
+        rest = child.stdout.read()
+        assert child.wait(timeout=60) == 0
+    assert first == b"A_4: ok (8 elements)\n"
+    assert rest.decode().splitlines() == ["L_4: ok (2 elements)", "D_4: ok (4 elements)"]
