@@ -41,8 +41,7 @@ def all_compositions(n: int) -> list[AlphaSeq]:
             return
         # siblings first differ at this cell, which counts positive at an even
         # 0-based index and negative at an odd one
-        firsts = range(1, remaining + 1)
-        for first in firsts if len(prefix) % 2 == 0 else reversed(firsts):
+        for first in range(1, remaining + 1) if len(prefix) % 2 == 0 else range(remaining, 0, -1):
             prefix.append(first)
             rec(remaining - first, prefix)
             prefix.pop()
@@ -157,5 +156,7 @@ def _reports(n_min: int, n_max: int) -> Iterator[OracleReport]:
         yield _report(n, "D", _dn_from_ln(n, ln), enumeration.enumerate_dn(n))
 
 
-def _report(n: int, kind: str, expected: list[AlphaSeq], actual: Iterable[AlphaSeq]) -> OracleReport:
+def _report(
+    n: int, kind: str, expected: list[AlphaSeq], actual: Iterable[AlphaSeq]
+) -> OracleReport:
     return OracleReport(n, kind, len(expected), diff_ordered(expected, actual))
