@@ -2,8 +2,9 @@
 
 The brute-force route generates every composition, filters with the
 definitional lexicality test and sorts. The compositions come out already in
-ascending comparator order, so each sort finds one sorted run and costs one
-comparison per element; the sort still decides the order, not the generation.
+ascending comparator order, so sorting A_n or L_n finds one sorted run and
+costs one comparison per neighbouring pair (the D_n union is one run per
+divisor); the sort still decides the order, not the generation.
 :func:`cardinality` gives the size of each set from its closed form, with no
 enumeration at all. Nothing here knows about the adjacency machinery. The only
 shared logic is the comparator, the definitional lexicality test (restated
