@@ -3,10 +3,10 @@
 Usage: python3 scripts/listing_digests.py > digests.txt
 
 The ``list`` grid is an/ln/dn x ascending/--desc x text/csv/json x --limit
-absent, -1, 0, 1, 64, 65 x n in {0, 1, 2, 3, 6, 8, 12, 16, 18, 31}; n = 0,
-n = 31 and --limit -1 are the error exits. ``verify`` runs over [1, 1], [1, 8],
-[1, 14], [12, 12] and [15, 16], and over the error exits [0, 3], [5, 4] and
-[1, 21].
+absent, -1, 0, 1, 64, 65, 9223372036854775808 (2**63, one past sys.maxsize)
+x n in {0, 1, 2, 3, 6, 8, 12, 16, 18, 31}; n = 0, n = 31 and --limit -1 are
+the error exits. ``verify`` runs over [1, 1], [1, 8], [1, 14], [12, 12] and
+[15, 16], and over the error exits [0, 3], [5, 4] and [1, 21].
 Each digest covers the exit code, stderr and stdout of one in-process run of
 the checkout this script belongs to, so diffing the output of two checkouts
 shows any change in what ``list`` or ``verify`` prints.
@@ -26,7 +26,8 @@ LIST_GRID = itertools.product(
     ("an", "ln", "dn"),
     ([], ["--desc"]),
     ("text", "csv", "json"),
-    ([], ["--limit", "-1"], ["--limit", "0"], ["--limit", "1"], ["--limit", "64"], ["--limit", "65"]),
+    ([], ["--limit", "-1"], ["--limit", "0"], ["--limit", "1"], ["--limit", "64"], ["--limit", "65"],
+     ["--limit", "9223372036854775808"]),
     (0, 1, 2, 3, 6, 8, 12, 16, 18, 31),
 )
 COMMANDS = [

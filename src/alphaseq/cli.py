@@ -6,8 +6,9 @@ insertion burst of one L_n step, one element per line. Sequences are
 written as comma-separated positive integers ("3,1,2,1"); the zero
 sequence is the literal "0". ``list`` streams every format through one
 encoder: the C JSON encoder renders the walk 64 items at a time, and the text
-lines (a CSV row is the text line) are cut out of that JSON. The JSON record
-takes its ``count`` from the closed forms of ``oracle.cardinality``. ``least``,
+lines (a CSV row is the text line) are cut out of that JSON. ``list`` takes its
+length, the JSON ``count``, from the closed forms of ``oracle.cardinality``, so
+a ``--limit`` at or above the set's size lists the whole set. ``least``,
 ``harmonic`` and ``star`` refuse an output of more than ``MAX_CELLS`` cells as
 a domain error. ``verify`` prints and flushes each set's line as soon as that
 set is certified. Exit codes: 0 success, 1 usage error, 2 domain error, 3
@@ -123,8 +124,10 @@ def _cmd_list(args) -> int:
     # read off the module at call time, so a rebound walk is the one that runs
     walk = getattr(enumeration, f"enumerate_{args.set_name}{'_descending' if args.desc else ''}")
     stream = walk(args.n)
-    if args.limit is not None:
-        stream = islice(stream, args.limit)
+    # only a --limit below the set's size cuts the stream, so an overshooting walk still shows
+    count = oracle.cardinality(args.set_name, args.n)
+    if args.limit is not None and args.limit < count:
+        stream, count = islice(stream, args.limit), args.limit
     import json
 
     # One encoder for every format: the walk is taken 64 items at a time and each chunk is
@@ -140,10 +143,7 @@ def _cmd_list(args) -> int:
         for items in encoded:
             write(items.replace("[]", "[0]")[2:-2].replace("],[", "\n") + "\n")
         return EXIT_OK
-    # "count" precedes "items", so it comes from the closed form, not from the stream
-    count = oracle.cardinality(args.set_name, args.n)
-    if args.limit is not None:
-        count = min(args.limit, count)
+    # "count" precedes "items", so it is the length decided above, not read off the stream
     write(f'{{"n":{args.n},"set":"{args.set_name}","count":{count},"items":[')
     sep = ""
     for items in encoded:

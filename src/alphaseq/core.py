@@ -176,17 +176,13 @@ def two_adic_split(n: int) -> tuple[int, int]:
     return l, (n >> l) // 2
 
 
-def least_element(n: int) -> AlphaSeq:
-    """Minimum of L_n: with n = 2**l (2s+1), h_l of the zero sequence,
-    star-multiplied by (2, 1^(2(s-1))) when s > 0."""
-    return _least_element(n)
-
-
 # Both step directions ask for least_element at divisors of n on every resonant
 # step, and a reverse step from a sequence starting with 1 or 2 asks for
 # least_element(n) itself; the result never changes, so the cache is exact.
 @lru_cache(maxsize=64)
-def _least_element(n: int) -> AlphaSeq:
+def least_element(n: int) -> AlphaSeq:
+    """Minimum of L_n: with n = 2**l (2s+1), h_l of the zero sequence,
+    star-multiplied by (2, 1^(2(s-1))) when s > 0."""
     l, s = two_adic_split(n)
     base = harmonic(l, ZERO)
     if s == 0:

@@ -88,7 +88,7 @@ def cardinality(set_name: str, n: int) -> int:
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
     if set_name == "an":
-        return 2 ** (n - 1)
+        return 1 << (n - 1)
     if set_name == "ln":
         return _ln_count(n)
     if set_name == "dn":
@@ -99,7 +99,7 @@ def cardinality(set_name: str, n: int) -> int:
 def _ln_count(n: int) -> int:
     # 2^n = sum over odd e | n of 2(n/e)|L_{n/e}|, the Moebius inversion of the closed form
     rest = sum(2 * (n // e) * _ln_count(n // e) for e in range(3, n + 1, 2) if n % e == 0)
-    return (2**n - rest) // (2 * n)
+    return ((1 << n) - rest) // (2 * n)
 
 
 def oracle_adjacent(

@@ -108,6 +108,19 @@ def test_list_formats_render_the_walk(capsys, set_name):
             assert run(capsys, *argv, "--format", "csv") == run(capsys, *argv) == (0, text, ""), argv
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_list_limit_at_or_above_the_set_size_lists_the_whole_set(capsys, fmt):
+    # 2**63 is one past sys.maxsize, which islice refuses; no limit that large may reach it
+    for set_name, n in (("an", 6), ("ln", 7), ("dn", 8)):
+        argv = ("list", "--set", set_name, str(n), "--format", fmt)
+        code, whole, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        size = len(whole.splitlines()) if fmt == "text" else json.loads(whole)["count"]
+        assert size == len(list(getattr(enumeration, f"enumerate_{set_name}")(n)))
+        for limit in (size, size + 1, 2**63, 10**30):
+            assert run(capsys, *argv, "--limit", str(limit)) == (0, whole, ""), (argv, limit)
+
+
 class _Writes(io.StringIO):
     def __init__(self):
         super().__init__()

@@ -247,8 +247,18 @@ def test_least_element_cells_are_at_most_two():
 
 
 def test_least_element_invalid():
-    with pytest.raises(InvalidN):
-        least_element(0)
+    # lru_cache stores no exceptions, so a bad n is rejected on every call
+    for _ in range(2):
+        with pytest.raises(InvalidN, match="^n must be >= 1, got 0$"):
+            least_element(0)
+
+
+def test_least_element_is_cached_on_its_public_name():
+    # resonant steps in both directions ask for least_element at divisors of n; the cache on
+    # the public name keeps the step p99 down, and __wrapped__ is the uncached construction
+    for n in range(1, 65):
+        assert least_element(n) is least_element(n), n
+        assert least_element.__wrapped__(n) == least_element(n), n
 
 
 def test_two_adic_split():
