@@ -1,4 +1,4 @@
-"""Print one "sha256 argv" line per ``alphaseq list`` or ``verify`` command over a fixed grid.
+"""Print one "sha256 argv" line per ``alphaseq`` command over a fixed grid.
 
 Usage: python3 scripts/listing_digests.py > digests.txt
 
@@ -6,10 +6,11 @@ The ``list`` grid is an/ln/dn x ascending/--desc x text/csv/json x --limit
 absent, -1, 0, 1, 64, 65, 9223372036854775808 (2**63, one past sys.maxsize)
 x n in {0, 1, 2, 3, 6, 8, 12, 16, 18, 31}; n = 0, n = 31 and --limit -1 are
 the error exits. ``verify`` runs over [1, 1], [1, 8], [1, 14], [12, 12] and
-[15, 16], and over the error exits [0, 3], [5, 4] and [1, 21].
+[15, 16], and over the error exits [0, 3], [5, 4] and [1, 21]. Last come the
+error exits of the step and algebra commands and of argument parsing (``ERRORS``).
 Each digest covers the exit code, stderr and stdout of one in-process run of
 the checkout this script belongs to, so diffing the output of two checkouts
-shows any change in what ``list`` or ``verify`` prints.
+shows any change in what these commands print.
 """
 
 import hashlib
@@ -30,11 +31,24 @@ LIST_GRID = itertools.product(
      ["--limit", "9223372036854775808"]),
     (0, 1, 2, 3, 6, 8, 12, 16, 18, 31),
 )
+ERRORS = [
+    ["succ", "--set", "an", "0", "1"], ["succ", "--set", "an", "4", "2,1"], ["pred", "--set", "an", "4", "0"],
+    ["succ", "--set", "ln", "7", "6"], ["succ", "--set", "ln", "6", "2,3"], ["pred", "--set", "ln", "8", "3"],
+    ["pred", "--set", "ln", "8", "2,1,1,2,1"], ["pred", "--set", "ln", "-1", "3"],
+    ["succ", "--set", "dn", "8", "3"], ["pred", "--set", "dn", "0", "0"], ["succ", "--set", "xn", "8", "3"],
+    ["lexical", "1_0"], ["lexical", "\u0661\u0662"], ["lexical", "3, 1"], ["lexical", "+3"],
+    ["lexical", "3,0,1"], ["lexical", "1,,2"], ["lexical", ""], ["lexical"],
+    ["compare", "2,1", "x"], ["meet", "3,1", "3,1,2"], ["star", "2", "-1"],
+    ["harmonic", "-1", "2,1"], ["harmonic", "x", "2,1"], ["least", "0"], ["least", "-1"], ["least", "x"],
+    ["list", "--set", "ln", "x"], ["list", "--set", "ln", "5", "--limit", "x"], ["verify", "1"],
+    ["nonsense"], [],
+]
 COMMANDS = [
     *(["list", "--set", set_name, str(n), *desc, "--format", fmt, *limit]
       for set_name, desc, fmt, limit, n in LIST_GRID),
     *(["verify", lo, hi] for lo, hi in (("1", "1"), ("1", "8"), ("1", "14"), ("12", "12"),
                                         ("15", "16"), ("0", "3"), ("5", "4"), ("1", "21"))),
+    *ERRORS,
 ]
 
 for argv in COMMANDS:

@@ -14,10 +14,10 @@ StarFactorization(f, m, least_element(d), d) of the resonant pair, or None.
 A D_n step in either direction inserts the harmonics of f that lie below
 star(f, least_element(d)), and only _harmonics_below says which they are.
 
-Each public entry validates its input as a member of L_n once and then calls
-a private body that assumes one. The walks call the bodies directly: every
-step yields a member of L_n, so its output needs no second check as the next
-step's input.
+Each public entry validates its input as a member of L_n once, with
+``core.require_member``, and calls a private body that assumes one. The
+walks call the bodies directly: every step yields a member of L_n, so its
+output needs no second check as the next step's input.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ from .core import (
     is_lexical,
     least_element,
     power,
+    require_member,
     star,
     two_adic_split,
 )
-from .errors import InvalidN, Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
+from .errors import Maximal, Minimal, NoCandidate, NoDecomposition
 
 class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
     """Witness that a sequence equals star(g, lam) with g fundamental in L_m.
@@ -54,13 +55,6 @@ class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
     @property
     def trivial(self) -> bool:
         return self.g == ZERO
-
-
-def _require_ln(a: AlphaSeq, n: int) -> None:
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
-    if 1 + degree(a) != n or min(a, default=1) < 1 or not is_lexical(a):
-        raise NotInSet(f"{format_sequence(a)} is not a member of L_{n}")
 
 
 def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
@@ -83,8 +77,7 @@ def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization |
 
 def successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     """Adjacent successor of ``a`` in L_n."""
-    _require_ln(a, n)
-    return _successor_parts(a, n)[0]
+    return _successor_parts(require_member(a, "L", n), n)[0]
 
 
 def successor_is_direct(a: AlphaSeq, n: int) -> bool:
@@ -93,8 +86,7 @@ def successor_is_direct(a: AlphaSeq, n: int) -> bool:
     Equivalently, the degree class of the meet does not divide n; for prime
     n this holds everywhere below the maximum.
     """
-    _require_ln(a, n)
-    return _successor_parts(a, n)[1] is None
+    return _successor_parts(require_member(a, "L", n), n)[1] is None
 
 
 def _harmonics_below(g: AlphaSeq, d: int) -> list[AlphaSeq]:
@@ -117,8 +109,7 @@ def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     d = n // m = 2**k (2t+1): h_0(f), ..., h_k(f) when t > 0, and h_0(f),
     ..., h_(k-1)(f) when t = 0, where h_k(f) is that star product itself.
     """
-    _require_ln(a, n)
-    return _successor_dn(a, n)
+    return _successor_dn(require_member(a, "L", n), n)
 
 
 def _successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
@@ -138,8 +129,7 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     factorization is reported only for the least element of L_n, and only when
     nothing else matches.
     """
-    _require_ln(a, n)
-    return _star_factorize(a, n)
+    return _star_factorize(require_member(a, "L", n), n)
 
 
 def _star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
@@ -184,8 +174,7 @@ def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
     extend_odd(tau)^(2s) + tau with tau = h_k(f); otherwise it is the adjacent
     predecessor of g inside L_m, reached by a single positive-cell rewrite.
     """
-    _require_ln(g, m)
-    return _predecessor_tail(g, m)
+    return _predecessor_tail(require_member(g, "L", m), m)
 
 
 def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
@@ -219,8 +208,7 @@ def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization
 
 def predecessor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     """Adjacent predecessor of ``a`` in L_n."""
-    _require_ln(a, n)
-    return _predecessor_parts(a, n)[0]
+    return _predecessor_parts(require_member(a, "L", n), n)[0]
 
 
 def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
@@ -232,8 +220,7 @@ def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     L_n predecessor, the highest first. Otherwise the burst is the L_n
     predecessor alone.
     """
-    _require_ln(a, n)
-    return _predecessor_dn(a, n)
+    return _predecessor_dn(require_member(a, "L", n), n)
 
 
 def _predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:

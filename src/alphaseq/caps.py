@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 
-from .errors import CapExceeded, InvalidN
+from .errors import CapExceeded, check_n
 
 
 class Cap(namedtuple("Cap", "variable default label")):
@@ -37,8 +37,7 @@ class Cap(namedtuple("Cap", "variable default label")):
 
     def check(self, n: int) -> None:
         """Raise InvalidN for n < 1 and CapExceeded for n above the cap."""
-        if n < 1:
-            raise InvalidN(f"n must be >= 1, got {n}")
+        check_n(n)
         cap = self.value()
         if n > cap:
             raise CapExceeded(f"n={n} above {self.label} cap {cap}")

@@ -3,8 +3,8 @@
 Subcommands: list, succ, pred, lexical, compare, meet, star, harmonic,
 least, verify. ``succ --set dn`` and ``pred --set dn`` print the whole
 insertion burst of one L_n step, one element per line. Sequences are
-written as comma-separated positive integers ("3,1,2,1"); the zero
-sequence is the literal "0". ``list`` streams every format through one
+written as comma-separated positive integers in ASCII digits ("3,1,2,1");
+the zero sequence is the literal "0". ``list`` streams every format through one
 encoder: the C JSON encoder renders the walk 64 items at a time, and the text
 lines (a CSV row is the text line) are cut out of that JSON. ``list`` takes its
 length, the JSON ``count``, from the closed forms of ``oracle.cardinality``, so
@@ -13,7 +13,8 @@ a ``--limit`` at or above the set's size lists the whole set. ``least``,
 a domain error. ``verify`` prints and flushes each set's line as soon as that
 set is certified. Exit codes: 0 success, 1 usage error, 2 domain error, 3
 verification mismatch; output cut short by its reader closing the pipe also
-exits 0.
+exits 0. Exits 1 and 2 write exactly one line to stderr, exits 0 and 3 none: a
+usage error is argparse's error line without its usage block.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from . import enumeration, oracle
 from .adjacency import predecessor_dn, predecessor_ln, successor_dn, successor_ln
 from .cells import predecessor_an, successor_an
 from .core import (
-    AlphaSeq,
     compare,
     degree,
     format_sequence,
@@ -36,10 +36,11 @@ from .core import (
     meet,
     is_lexical,
     parse_sequence,
+    require_member,
     star,
     two_adic_split,
 )
-from .errors import AlphaSequenceError, InvalidN, NotInSet
+from .errors import AlphaSequenceError
 
 EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_MISMATCH = 0, 1, 2, 3
 
@@ -50,10 +51,20 @@ MAX_CELLS = 2**22
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract here reserves 2 for
-    # domain errors, so route usage failures to exit code 1.
+    # domain errors, so route usage failures to exit code 1, as one line.
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """argparse type of ``--limit`` and ``j``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="set_name", choices=("an", "ln", "dn"), required=True)
     p.add_argument("n", type=int)
     p.add_argument("--desc", action="store_true", help="descending order")
-    p.add_argument("--limit", type=int, metavar="K", help="emit only the first K elements")
+    p.add_argument("--limit", type=_count, metavar="K", help="emit only the first K elements")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(run=_cmd_list)
 
@@ -95,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_star)
 
     p = sub.add_parser("harmonic", help="j-th harmonic")
-    p.add_argument("j", type=int)
+    p.add_argument("j", type=_count)
     p.add_argument("seq", type=parse_sequence)
     p.set_defaults(run=_cmd_harmonic)
 
@@ -117,10 +128,6 @@ def _say(line: str) -> int:
 
 
 def _cmd_list(args) -> int:
-    # checked before the stream is built: a bad --limit is a usage error whatever n is
-    if args.limit is not None and args.limit < 0:
-        print("alphaseq: error: --limit must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     # read off the module at call time, so a rebound walk is the one that runs
     walk = getattr(enumeration, f"enumerate_{args.set_name}{'_descending' if args.desc else ''}")
     stream = walk(args.n)
@@ -153,20 +160,11 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _require_an(a: AlphaSeq, n: int) -> AlphaSeq:
-    """``a`` itself if it is a member of A_n; parsed cells are already positive."""
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
-    if not a or degree(a) != n:
-        raise NotInSet(f"{format_sequence(a)} is not a member of A_{n}")
-    return a
-
-
 # (command, set) -> the burst of one step. The step functions are read from the
 # module globals when a lambda runs, so a rebinding reaches them.
 _STEPS = {
-    ("succ", "an"): lambda a, n: [successor_an(_require_an(a, n))],
-    ("pred", "an"): lambda a, n: [predecessor_an(_require_an(a, n))],
+    ("succ", "an"): lambda a, n: [successor_an(require_member(a, "A", n))],
+    ("pred", "an"): lambda a, n: [predecessor_an(require_member(a, "A", n))],
     ("succ", "ln"): lambda a, n: [successor_ln(a, n)],
     ("pred", "ln"): lambda a, n: [predecessor_ln(a, n)],
     ("succ", "dn"): lambda a, n: successor_dn(a, n),
@@ -207,9 +205,6 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_harmonic(args) -> int:
-    if args.j < 0:
-        print("alphaseq: error: j must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     _require_fits(_harmonic_len(args.j, len(args.seq)))
     return _say(format_sequence(harmonic(args.j, args.seq)))
 

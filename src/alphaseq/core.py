@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import InvalidN, PrefixAmbiguity, UndefinedOperation
+from .errors import NotInSet, PrefixAmbiguity, UndefinedOperation, check_n
 
 AlphaSeq = tuple[int, ...]
 
@@ -170,8 +170,7 @@ def is_fundamental(a: AlphaSeq) -> bool:
 
 def two_adic_split(n: int) -> tuple[int, int]:
     """Write n = 2**l * (2s + 1) and return (l, s)."""
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
+    check_n(n)
     l = (n & -n).bit_length() - 1
     return l, (n >> l) // 2
 
@@ -190,39 +189,52 @@ def least_element(n: int) -> AlphaSeq:
     return star(base, (2,) + (1,) * (2 * (s - 1)))
 
 
+def is_member(a: AlphaSeq, kind: str, n: int) -> bool:
+    """True if ``a`` is in A_n (compositions of n), L_n (lexical, 1 + degree = n)
+    or D_n (lexical, 1 + degree dividing n) for ``kind`` "A", "L" or "D".
+    Raises InvalidN for n < 1 and ValueError for any other kind."""
+    check_n(n)
+    if min(a, default=1) < 1:  # cheapest first: the cells, the degree, lexicality
+        return False
+    d = degree(a)
+    if kind == "A":
+        return d == n  # the zero sequence has degree 0 < n
+    if kind not in ("L", "D"):
+        raise ValueError(f"kind must be A, L or D, got {kind!r}")
+    return (d + 1 == n if kind == "L" else n % (d + 1) == 0) and is_lexical(a)
+
+
+def require_member(a: AlphaSeq, kind: str, n: int) -> AlphaSeq:
+    """``a`` itself if :func:`is_member` holds; raises NotInSet otherwise."""
+    if not is_member(a, kind, n):
+        raise NotInSet(f"{format_sequence(a)} is not a member of {kind}_{n}")
+    return a
+
+
 class SetContext(namedtuple("SetContext", "kind n")):
-    """A target universe: A_n (compositions of n), L_n (lexical, 1 + degree = n)
-    or D_n (lexical with degree class dividing n). ``kind`` is "A", "L" or "D"."""
+    """A target universe: the set :func:`is_member` tests for ``kind`` and ``n``."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, n: int):
-        if kind not in ("A", "L", "D"):
-            raise ValueError(f"kind must be A, L or D, got {kind!r}")
-        if n < 1:
-            raise InvalidN(f"n must be >= 1, got {n}")
+        is_member(ZERO, kind, n)  # raises on a bad kind or n
         return super().__new__(cls, kind, n)
 
     def contains(self, a: AlphaSeq) -> bool:
-        if any(v < 1 for v in a):
-            return False
-        if self.kind == "A":
-            return len(a) >= 1 and degree(a) == self.n
-        if self.kind == "L":
-            return is_lexical(a) and 1 + degree(a) == self.n
-        return is_lexical(a) and self.n % (1 + degree(a)) == 0
+        return is_member(a, self.kind, self.n)
 
 
 def parse_sequence(text: str) -> AlphaSeq:
-    """Parse the canonical text form: comma-separated positive integers, or "0"."""
+    """Parse the canonical text form: comma-separated positive integers written
+    in ASCII digits (no sign, underscore, space or other script's digits), or "0"."""
     t = text.strip()
     if t == "0":
         return ZERO
-    try:
-        vals = tuple(int(p) for p in t.split(","))
-    except ValueError:
-        raise ValueError(f"not a sequence: {text!r}") from None
-    if not vals or any(v < 1 for v in vals):
+    cells = t.split(",")
+    if not all(c.isascii() and c.isdigit() for c in cells):
+        raise ValueError(f"not a sequence: {text!r}")
+    vals = tuple(map(int, cells))
+    if 0 in vals:
         raise ValueError(f"sequence elements must be positive integers: {text!r}")
     return vals
 

@@ -52,3 +52,9 @@ class CapExceeded(AlphaSequenceError):
 
 class UndefinedOperation(AlphaSequenceError):
     """The operation has no defined result for this input (e.g. extend_even of the zero sequence)."""
+
+
+def check_n(n: int) -> None:
+    """Raise InvalidN unless n >= 1: A_n, L_n and D_n exist only for n >= 1."""
+    if n < 1:
+        raise InvalidN(f"n must be >= 1, got {n}")

@@ -8,10 +8,10 @@ divisor); the sort still decides the order, not the generation.
 :func:`cardinality` gives the size of each set from its closed form, with no
 enumeration at all. Nothing here knows about the adjacency machinery. The only
 shared logic is the comparator, the definitional lexicality test (restated
-locally against plain suffixes) and the cap reader, so the oracle stays an
-independent route to the same sets. :func:`verify_range` holds one set at a
-time and builds each L_n once: each walk streams against the oracle's list,
-and the report keeps only its length, ``count``.
+locally against plain suffixes), the cap reader and the n >= 1 check, so the
+oracle stays an independent route to the same sets. :func:`verify_range` holds
+one set at a time and builds each L_n once: each walk streams against the
+oracle's list, and the report keeps only its length, ``count``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cmp_to_key
 from itertools import zip_longest
+from math import isqrt
 
 from .caps import ORACLE_CAP
 from .core import GREATER, AlphaSeq, ZERO, compare
-from .errors import InvalidN, NotInSet
+from .errors import InvalidN, NotInSet, check_n
 
 
 def _lexical(a: AlphaSeq) -> bool:
@@ -58,8 +59,7 @@ def oracle_an(n: int) -> list[AlphaSeq]:
 
 def oracle_ln(n: int) -> list[AlphaSeq]:
     """L_n by filtering compositions of n-1 with the definitional lexicality test."""
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
+    check_n(n)
     if n == 1:
         return [ZERO]
     members = [a for a in all_compositions(n - 1) if _lexical(a)]
@@ -85,21 +85,19 @@ def cardinality(set_name: str, n: int) -> int:
     Metropolis, Stein, Stein, J. Combin. Theory A 15, 1973); and
     |D_n| = sum over d | n of |L_d|.
     """
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
+    check_n(n)
     if set_name == "an":
         return 1 << (n - 1)
-    if set_name == "ln":
-        return _ln_count(n)
-    if set_name == "dn":
-        return sum(_ln_count(d) for d in range(1, n + 1) if n % d == 0)
-    raise ValueError(f"unknown set {set_name!r}")
-
-
-def _ln_count(n: int) -> int:
-    # 2^n = sum over odd e | n of 2(n/e)|L_{n/e}|, the Moebius inversion of the closed form
-    rest = sum(2 * (n // e) * _ln_count(n // e) for e in range(3, n + 1, 2) if n % e == 0)
-    return ((1 << n) - rest) // (2 * n)
+    if set_name not in ("ln", "dn"):
+        raise ValueError(f"unknown set {set_name!r}")
+    # |L_d| for the divisors d of n, ascending (trial division up to sqrt(n)); 2^d is the
+    # sum over odd e | d of 2(d/e)|L_{d/e}|, the Moebius inversion of the closed form
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    ln: dict[int, int] = {}
+    for d in low + [n // d for d in reversed(low) if d * d != n]:
+        rest = sum(2 * q * c for q, c in ln.items() if d % q == 0 and (d // q) % 2 == 1)
+        ln[d] = ((1 << d) - rest) // (2 * d)
+    return ln[n] if set_name == "ln" else sum(ln.values())
 
 
 def oracle_adjacent(

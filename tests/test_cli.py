@@ -56,7 +56,7 @@ def test_list_checks_limit_before_walking(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.enumeration, "enumerate_dn_descending", walk)
     code, out, err = run(capsys, "list", "--set", "dn", "22", "--desc", "--limit", "-1")
-    assert (code, out, err) == (1, "", "alphaseq: error: --limit must be >= 0\n")
+    assert (code, out, err) == (1, "", "alphaseq list: error: argument --limit: must be >= 0, got -1\n")
     # the patch is reached when --limit is valid, so the check above is not vacuous
     with pytest.raises(AssertionError, match="before --limit"):
         cli.run(["list", "--set", "dn", "22", "--desc", "--limit", "1"])
@@ -308,6 +308,25 @@ def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "bench", "8")[0] == 1
     assert cli.run([]) == 1
+
+
+def test_usage_errors_are_one_line(capsys):
+    # argparse's usage block is not printed: the error line is the whole of stderr
+    assert run(capsys, "list", "--set", "ln", "x") == (
+        1, "", "alphaseq list: error: argument n: invalid int value: 'x'\n")
+    assert run(capsys, "harmonic", "-1", "2,1") == (
+        1, "", "alphaseq harmonic: error: argument j: must be >= 0, got -1\n")
+    assert run(capsys, "list", "--set", "ln", "5", "--limit", "x") == (
+        1, "", "alphaseq list: error: argument --limit: invalid int value: 'x'\n")
+    assert run(capsys, "verify", "1") == (
+        1, "", "alphaseq verify: error: the following arguments are required: n_max\n")
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0662", "3, 1", "+3"])
+def test_sequence_cells_are_ascii_digits(capsys, text):
+    # int() reads each of these as positive cells; the CLI refuses them as usage errors
+    message = f"alphaseq lexical: error: argument seq: invalid parse_sequence value: {text!r}\n"
+    assert run(capsys, "lexical", text) == (1, "", message)
 
 
 def test_verify_ok(capsys):

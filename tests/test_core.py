@@ -15,16 +15,18 @@ from alphaseq.core import (
     harmonic,
     is_fundamental,
     is_lexical,
+    is_member,
     least_element,
     meet,
     order_key,
     parse_sequence,
     power,
+    require_member,
     star,
     two_adic_split,
 )
-from alphaseq.errors import InvalidN, PrefixAmbiguity, UndefinedOperation
-from alphaseq.oracle import oracle_ln
+from alphaseq.errors import InvalidN, NotInSet, PrefixAmbiguity, UndefinedOperation
+from alphaseq.oracle import oracle_an, oracle_dn, oracle_ln
 
 from conftest import nonempty_sequences, sequences, sequences_up_to_degree
 
@@ -282,6 +284,39 @@ def test_set_membership():
         SetContext("L", 0)
 
 
+def test_membership_agrees_with_the_oracle():
+    # every sequence of degree <= 12 against A_n, L_n and D_n for each n it could belong to
+    candidates = sequences_up_to_degree(12)
+    for kind, oracle_set, top in (("A", oracle_an, 12), ("L", oracle_ln, 13), ("D", oracle_dn, 13)):
+        for n in range(1, top + 1):
+            members = set(oracle_set(n))
+            assert {a for a in candidates if is_member(a, kind, n)} == members, (kind, n)
+
+
+def test_membership_rejects_bad_cells_n_and_kind():
+    for kind in ("A", "L", "D"):
+        assert not is_member((3, 0, 1), kind, 5)
+        assert not is_member((4, -1, 1), kind, 5)
+        for n in (0, -1):
+            with pytest.raises(InvalidN, match=f"^n must be >= 1, got {n}$"):
+                is_member((1,), kind, n)
+    with pytest.raises(ValueError, match="kind must be A, L or D"):
+        is_member((1,), "X", 2)
+    with pytest.raises(ValueError, match="kind must be A, L or D"):
+        SetContext("X", 2)
+
+
+def test_require_member_returns_the_member_or_names_the_set():
+    a = (4, 3)
+    assert require_member(a, "L", 8) is a
+    assert require_member(a, "D", 16) is a
+    for kind, n in (("A", 8), ("L", 7), ("D", 12)):
+        with pytest.raises(NotInSet, match=f"^4,3 is not a member of {kind}_{n}$"):
+            require_member(a, kind, n)
+    with pytest.raises(NotInSet, match="^0 is not a member of A_3$"):
+        require_member(ZERO, "A", 3)
+
+
 def test_parse_and_format():
     assert parse_sequence("3,1,2,1") == (3, 1, 2, 1)
     assert parse_sequence("0") == ZERO
@@ -290,6 +325,16 @@ def test_parse_and_format():
     for bad in ("", "3,x", "3,0,1", "-2", "1,"):
         with pytest.raises(ValueError):
             parse_sequence(bad)
+
+
+def test_parse_accepts_ascii_digits_only():
+    # int() would read each of these as positive cells, but none is the text form
+    # format_sequence writes: underscores, signs, spaces, other scripts' digits
+    for bad in ("1_0", "\u0661\u0662", "3, 1", "3 ,1", "+3", "\uff13", "1,\u20033"):
+        with pytest.raises(ValueError, match="^not a sequence"):
+            parse_sequence(bad)
+    assert parse_sequence(" 3,1\n") == (3, 1)  # surrounding whitespace is not in a cell
+    assert parse_sequence("007,1") == (7, 1)
 
 
 @given(sequences)

@@ -1,3 +1,4 @@
+import timeit
 from itertools import islice
 
 import pytest
@@ -114,6 +115,36 @@ def test_closed_form_cardinality(set_name, walk, oracle_set):
         cardinality(set_name.upper(), 1)
 
 
+def _moebius(e):
+    # 0 when a square divides e, else -1 to the number of its prime factors
+    sign, p = 1, 2
+    while p * p <= e:
+        if e % p == 0:
+            e //= p
+            if e % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if e > 1 else sign
+
+
+def test_cardinality_is_the_closed_form_to_64():
+    # the sums written out term by term: |L_d| = (1/2d) sum over odd e | d of mu(e) 2^(d/e)
+    ln = {d: sum(_moebius(e) << (d // e) for e in range(1, d + 1, 2) if d % e == 0) // (2 * d)
+          for d in range(1, 65)}
+    assert [ln[d] for d in range(1, 11)] == [1, 1, 1, 2, 3, 5, 9, 16, 28, 51]  # OEIS A000048
+    for n in range(1, 65):
+        assert cardinality("ln", n) == ln[n], n
+        assert cardinality("dn", n) == sum(ln[d] for d in range(1, n + 1) if n % d == 0), n
+        assert cardinality("an", n) == 2 ** (n - 1), n
+
+
+def test_cardinality_reads_only_the_divisors():
+    # 10**6 has 49 divisors; scanning every d <= n with an unmemoized recursion took 0.2 s
+    best = min(timeit.repeat(lambda: cardinality("dn", 10**6), number=1, repeat=3))
+    assert best < 0.05, best
+
+
 def test_streams_strictly_ascend():
     for n in (6, 8, 12):
         for stream in (enumerate_an(n), enumerate_ln(n), enumerate_dn(n)):
@@ -143,8 +174,10 @@ def test_walks_do_not_revalidate(monkeypatch):
     # a walk's start is the least element or the maximum and every later
     # input is its own output, so only the public step entries validate
     calls = []
-    require_ln = adjacency._require_ln
-    monkeypatch.setattr(adjacency, "_require_ln", lambda a, n: calls.append(a) or require_ln(a, n))
+    require_member = adjacency.require_member
+    monkeypatch.setattr(
+        adjacency, "require_member", lambda a, kind, n: calls.append(a) or require_member(a, kind, n)
+    )
     assert list(enumerate_ln(12)) == oracle_ln(12)
     assert list(enumerate_ln_descending(12)) == oracle_ln(12)[::-1]
     assert list(enumerate_dn(12)) == oracle_dn(12)
