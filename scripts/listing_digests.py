@@ -6,8 +6,10 @@ The ``list`` grid is an/ln/dn x ascending/--desc x text/csv/json x --limit
 absent, -1, 0, 1, 64, 65, 9223372036854775808 (2**63, one past sys.maxsize)
 x n in {0, 1, 2, 3, 6, 8, 12, 16, 18, 31}; n = 0, n = 31 and --limit -1 are
 the error exits. ``verify`` runs over [1, 1], [1, 8], [1, 14], [12, 12] and
-[15, 16], and over the error exits [0, 3], [5, 4] and [1, 21]. Last come the
-error exits of the step and algebra commands and of argument parsing (``ERRORS``).
+[15, 16], and over the error exits [0, 3], [5, 4] and [1, 21]. Then come the
+error exits of the step and algebra commands and of argument parsing (``ERRORS``),
+two of them on a 4300-digit cell (shown shortened). Last, with ALPHASEQ_ENUM_CAP
+raised to 100 in this process, come listings whose cells run to 99 (``RAISED_CAP``).
 Each digest covers the exit code, stderr and stdout of one in-process run of
 the checkout this script belongs to, so diffing the output of two checkouts
 shows any change in what these commands print.
@@ -16,6 +18,7 @@ shows any change in what these commands print.
 import hashlib
 import io
 import itertools
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -41,7 +44,7 @@ ERRORS = [
     ["compare", "2,1", "x"], ["meet", "3,1", "3,1,2"], ["star", "2", "-1"],
     ["harmonic", "-1", "2,1"], ["harmonic", "x", "2,1"], ["least", "0"], ["least", "-1"], ["least", "x"],
     ["list", "--set", "ln", "x"], ["list", "--set", "ln", "5", "--limit", "x"], ["verify", "1"],
-    ["nonsense"], [],
+    ["nonsense"], [], ["star", "9" * 4300, "1"], ["harmonic", "1", "9" * 4300],
 ]
 COMMANDS = [
     *(["list", "--set", set_name, str(n), *desc, "--format", fmt, *limit]
@@ -50,10 +53,21 @@ COMMANDS = [
                                         ("15", "16"), ("0", "3"), ("5", "4"), ("1", "21"))),
     *ERRORS,
 ]
+RAISED_CAP = [
+    *(["list", "--set", "an", "100", "--format", fmt, "--limit", "65"] for fmt in ("text", "csv", "json")),
+    ["list", "--set", "ln", "64", "--limit", "65", "--format", "json"],
+    ["list", "--set", "dn", "60", "--desc", "--limit", "3"],
+]
 
-for argv in COMMANDS:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.run(argv)
-    digest = hashlib.sha256(f"{code}\0{err.getvalue()}\0{out.getvalue()}".encode())
-    print(digest.hexdigest(), " ".join(argv))
+def show(arg: str) -> str:
+    return arg if len(arg) <= 40 else f"{arg[:8]}...({len(arg)} chars)"
+
+
+for env, argvs in (([], COMMANDS), (["ALPHASEQ_ENUM_CAP=100"], RAISED_CAP)):
+    os.environ.update(v.split("=") for v in env)
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(argv)
+        digest = hashlib.sha256(f"{code}\0{err.getvalue()}\0{out.getvalue()}".encode())
+        print(digest.hexdigest(), " ".join(map(show, env + argv)))

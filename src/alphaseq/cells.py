@@ -37,8 +37,8 @@ def conjugate(a: AlphaSeq, i: int) -> AlphaSeq:
 
 def apply_at(a: AlphaSeq, i: int) -> AlphaSeq:
     """Split at i when the value is >= 2, conjugate when it is 1."""
-    # Every walk step and candidate probe lands here, so a valid rewrite is
-    # built inline; anything else raises from split or conjugate.
+    # Every candidate probe of the L_n and D_n walks lands here, so a valid
+    # rewrite is built inline; anything else raises from split or conjugate.
     if 1 <= i <= len(a):
         v = a[i - 1]
         if v >= 2:
@@ -52,18 +52,31 @@ def successor_an(a: AlphaSeq) -> AlphaSeq:
     """Adjacent successor in A_n: rewrite at the last negative cell."""
     if len(a) < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of its A_n")
-    i = len(a) - len(a) % 2
-    return apply_at(a, i)
+    # the A_n walks step here, so the rewrite at 0-based index j >= 1 is built
+    # inline; a cell below 1 takes apply_at for its error
+    j = len(a) - len(a) % 2 - 1
+    v = a[j]
+    if v >= 2:
+        return a[:j] + (v - 1, 1) + a[j + 1 :]
+    if v == 1:
+        return a[: j - 1] + (a[j - 1] + 1,) + a[j + 1 :]
+    return apply_at(a, j + 1)
 
 
 def predecessor_an(a: AlphaSeq) -> AlphaSeq:
     """Adjacent predecessor in A_n: rewrite at the last positive cell."""
     if not a:
         raise Minimal("the zero sequence is not a member of any A_n")
-    i = len(a) if len(a) % 2 == 1 else len(a) - 1
-    if i == 1 and a[0] == 1:
-        raise Minimal(f"{format_sequence(a)} is the minimal element of its A_n")
-    return apply_at(a, i)
+    # built inline at 0-based index j, as in successor_an
+    j = len(a) + len(a) % 2 - 2
+    v = a[j]
+    if v >= 2:
+        return a[:j] + (v - 1, 1) + a[j + 1 :]
+    if v == 1:
+        if not j:
+            raise Minimal(f"{format_sequence(a)} is the minimal element of its A_n")
+        return a[: j - 1] + (a[j - 1] + 1,) + a[j + 1 :]
+    return apply_at(a, j + 1)
 
 
 def lexical_successor_candidate(a: AlphaSeq) -> tuple[AlphaSeq, int]:

@@ -5,8 +5,10 @@ least, verify. ``succ --set dn`` and ``pred --set dn`` print the whole
 insertion burst of one L_n step, one element per line. Sequences are
 written as comma-separated positive integers in ASCII digits ("3,1,2,1");
 the zero sequence is the literal "0". ``list`` streams every format through one
-encoder: the C JSON encoder renders the walk 64 items at a time, and the text
-lines (a CSV row is the text line) are cut out of that JSON. ``list`` takes its
+encoder: it takes the walk 64 items at a time and joins each item's cells from a
+table that converts every distinct cell value to text once; text and CSV (a CSV
+row is the text line) join the rows by line breaks, and JSON wraps each row in
+brackets. A cell too long to print is a domain error. ``list`` takes its
 length, the JSON ``count``, from the closed forms of ``oracle.cardinality``, so
 a ``--limit`` at or above the set's size lists the whole set. ``least``,
 ``harmonic`` and ``star`` refuse an output of more than ``MAX_CELLS`` cells as
@@ -22,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import islice, repeat
 
 from . import enumeration, oracle
 from .adjacency import predecessor_dn, predecessor_ln, successor_dn, successor_ln
@@ -135,29 +137,46 @@ def _cmd_list(args) -> int:
     count = oracle.cardinality(args.set_name, args.n)
     if args.limit is not None and args.limit < count:
         stream, count = islice(stream, args.limit), args.limit
-    import json
+    # One encoder for every format: the walk is taken 64 items at a time, and each item
+    # becomes the row of its cells joined by commas, all in C; each distinct cell value is
+    # converted to text once, by the table. 64 items keep each write well inside one 8 KiB
+    # stdout block, so output leaves steadily.
+    cell = _CellText().__getitem__
 
-    # One encoder for every format: the walk is taken 64 items at a time and each chunk is
-    # encoded once by the C JSON encoder, which is far cheaper than a format_sequence call
-    # per item. 64 items keep each write well inside one 8 KiB stdout block, so output
-    # leaves steadily; the zero sequence encodes as [].
+    def rows_of(chunk):
+        return map(",".join, map(map, repeat(cell), chunk))  # the zero sequence joins to ""
+
     chunks = iter(lambda: list(islice(stream, 64)), [])
-    encoded = (json.dumps(chunk, separators=(",", ":")) for chunk in chunks)
     write = sys.stdout.write
     if args.format != "json":
-        # "[[3,1],[4]]" -> "3,1\n4\n"; a CSV row of positive integers needs no quoting,
-        # so it is the text line, and the zero sequence is "0"
-        for items in encoded:
-            write(items.replace("[]", "[0]")[2:-2].replace("],[", "\n") + "\n")
+        # a CSV row of positive integers needs no quoting, so it is the text line
+        for chunk in chunks:
+            rows = rows_of(chunk)
+            if not all(chunk):
+                rows = [row or "0" for row in rows]
+            write("\n".join(rows) + "\n")
         return EXIT_OK
     # "count" precedes "items", so it is the length decided above, not read off the stream
     write(f'{{"n":{args.n},"set":"{args.set_name}","count":{count},"items":[')
-    sep = ""
-    for items in encoded:
-        write(sep + items[1:-1])
-        sep = ","
+    lead = "["
+    for chunk in chunks:
+        write(lead + "],[".join(rows_of(chunk)) + "]")
+        lead = ",["
     write("]}\n")
     return EXIT_OK
+
+
+class _CellText(dict):
+    """Cell value -> its text, converted on first use; it holds only the values printed.
+
+    The conversion is format_sequence's, so a cell too long to print fails with its message.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = format_sequence((v,))
+        return text
 
 
 # (command, set) -> the burst of one step. The step functions are read from the

@@ -10,10 +10,11 @@ Everything here is a pure function over immutable tuples.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import NotInSet, PrefixAmbiguity, UndefinedOperation, check_n
+from .errors import AlphaSequenceError, NotInSet, PrefixAmbiguity, UndefinedOperation, check_n
 
 AlphaSeq = tuple[int, ...]
 
@@ -194,7 +195,7 @@ def is_member(a: AlphaSeq, kind: str, n: int) -> bool:
     or D_n (lexical, 1 + degree dividing n) for ``kind`` "A", "L" or "D".
     Raises InvalidN for n < 1 and ValueError for any other kind."""
     check_n(n)
-    if min(a, default=1) < 1:  # cheapest first: the cells, the degree, lexicality
+    if a and min(a) < 1:  # cheapest first: the cells, the degree, lexicality
         return False
     d = degree(a)
     if kind == "A":
@@ -240,5 +241,11 @@ def parse_sequence(text: str) -> AlphaSeq:
 
 
 def format_sequence(a: AlphaSeq) -> str:
-    """Canonical text form; the zero sequence renders as "0"."""
-    return ",".join(map(str, a)) if a else "0"
+    """Canonical text form; the zero sequence renders as "0". A cell longer than
+    the interpreter's int-to-str digit limit raises AlphaSequenceError."""
+    try:
+        return ",".join(map(str, a)) if a else "0"
+    except ValueError:
+        raise AlphaSequenceError(
+            f"cannot print a cell of more than {sys.get_int_max_str_digits()} digits"
+        ) from None

@@ -190,11 +190,16 @@ def test_predecessor_an_examples():
 
 
 def test_an_steps_match_oracle_adjacency():
-    for n in range(1, 13):
+    # the steps build their rewrite inline; the walk they make is the oracle's order
+    for n in range(1, 15):
         ordered = oracle_an(n)
         for a, b in zip(ordered, ordered[1:]):
             assert successor_an(a) == b
             assert predecessor_an(b) == a
+        with pytest.raises(Maximal):
+            successor_an(ordered[-1])
+        with pytest.raises(Minimal):
+            predecessor_an(ordered[0])
 
 
 def test_lexical_successor_candidate_examples():

@@ -150,6 +150,24 @@ def test_list_json_memory_stays_near_text(peak_rss_kb):
     assert peaks["json"] < peaks["text"] + 10 * 1024, peaks
 
 
+# caps the child's address space at 1 GiB, then runs ``python -m alphaseq``
+CAPPED_CHILD = (
+    "import resource, runpy\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "runpy.run_module('alphaseq', run_name='__main__')\n"
+)
+
+
+def test_list_cell_table_does_not_grow_with_n(capsys, monkeypatch, peak_rss_kb):
+    # the cell text table holds only the values printed; one built over range(n + 1)
+    # would hold 10**8 strings here. The capped child fails fast on such a table
+    # before this process lists the same line itself.
+    monkeypatch.setenv("ALPHASEQ_ENUM_CAP", "100000000")
+    argv = ["list", "--set", "an", "100000000", "--limit", "1"]
+    assert peak_rss_kb("-c", CAPPED_CHILD, *argv) < 64 * 1024
+    assert run(capsys, *argv) == (0, "1,99999999\n", "")
+
+
 def test_list_json_round_trips(capsys):
     code, out, _ = run(capsys, "list", "--set", "dn", "8", "--format", "json")
     assert code == 0
@@ -278,6 +296,17 @@ def test_output_size_guard(capsys, monkeypatch):
         assert run(capsys, *argv) == (2, "", "alphaseq: output would exceed 16 cells\n"), argv
     # the length is read off the arguments, not their degree
     assert run(capsys, "star", "5000000", "1") == (0, "5000001,5000000\n", "")
+
+
+@pytest.mark.parametrize("argv", [("star", "{}", "1"), ("harmonic", "1", "{}")])
+def test_a_cell_too_long_to_print_is_a_domain_error(capsys, argv):
+    # both commands map a cell of k nines to (10**k, 10**k - 1): k = 4299 prints, and
+    # k = 4300 parses but its 4301-digit output cell is past the int-to-str digit limit
+    nines = "9" * 4299
+    expected = f"1{'0' * 4299},{nines}\n"
+    assert run(capsys, *(a.format(nines) for a in argv)) == (0, expected, "")
+    message = "alphaseq: cannot print a cell of more than 4300 digits\n"
+    assert run(capsys, *(a.format(nines + "9") for a in argv)) == (2, "", message)
 
 
 def test_output_size_guard_counts_the_exact_length(capsys, monkeypatch):
