@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cells import lexical_predecessor_candidate, lexical_successor_candidate
+from .cells import _first_lexical_rewrite
 from .core import (
     AlphaSeq,
     ZERO,
-    degree,
     extend_even,
     extend_odd,
     format_sequence,
@@ -61,16 +60,19 @@ def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization |
     """Adjacent successor of a member of L_n and, on a resonant step, its star factorization."""
     # the members of length at most one are (n - 1) and, for n = 1, the zero
     # sequence: each is the maximum of its L_n
-    if len(a) < 2:
+    k = len(a)
+    if k < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of L_{n}")
-    cand, i = lexical_successor_candidate(a)
-    # the meet of a and cand, read off the rewrite at position i: a split
-    # lowers cell i by one, a conjugation raises cell i - 1 and drops cell i
-    f = a[: i - 1] + (a[i - 1] - 1,) if a[i - 1] >= 2 else a[: i - 1]
-    m = 1 + degree(f)
+    cand, i = _first_lexical_rewrite(a, k - k % 2, 1, "negative")
+    # the meet f of a and cand, read off the rewrite at position i: a split
+    # lowers cell i by one, a conjugation raises cell i - 1 and drops cell i,
+    # which is 1. Either way m = 1 + degree(f) is the degree of a[:i], which is
+    # n - 1 less the degree of the short tail a[i:].
+    m = n - 1 - sum(a[i:])
     d, r = divmod(n, m)
     if r > 0:
         return cand, None
+    f = a[: i - 1] + (a[i - 1] - 1,) if a[i - 1] >= 2 else a[: i - 1]
     lam = least_element(d)
     return star(f, lam), StarFactorization(f, m, lam, d)
 
@@ -133,23 +135,25 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
 
 
 def _star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
+    # The class m = 1 + degree(g) must be a proper divisor of n, so m <= n // 2.
+    # A suffix g = a[j:] has m = n - p, with p the degree of a[:j], so a running
+    # p tests the class before the suffix is sliced.
     candidates = []
     if a:
-        head = a[0]
-        j = 0
+        head, half = a[0], n // 2
+        j = p = 0
         for _ in range(a.count(head) - 1):
-            j = a.index(head, j + 1)
-            candidates.append(a[j:])
-        if head >= 2 and a[-1] == head - 1:
-            candidates.append((head - 1,))
-    # Degrees fall along the list: each suffix holds the next one, and the last
+            k = a.index(head, j + 1)
+            p += sum(a[j:k])
+            j, m = k, n - p
+            if m <= half and n % m == 0:
+                candidates.append((a[j:], m))
+        if head >= 2 and a[-1] == head - 1 and head <= half and n % head == 0:
+            candidates.append(((head - 1,), head))
+    # Classes fall along the list: each suffix holds the next one, and the last
     # candidate's one cell is below every suffix's first cell. So the first
     # candidate that verifies has the largest (m, len(g)).
-    for g in candidates:
-        m = 1 + degree(g)
-        # m must be a proper divisor of n, so m <= n // 2
-        if m > n // 2 or n % m != 0:
-            continue
+    for g, m in candidates:
         head_block = extend_odd(g)
         if a[: len(head_block)] != head_block:
             continue
@@ -184,8 +188,10 @@ def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
         if s > 0:
             tau = harmonic(k, fac.g)
             return power(extend_odd(tau), 2 * s) + tau
+    # positive cells, right to left; a first cell of value 1 has no left neighbour
+    stop = 1 if g[:1] == (1,) else 0
     try:
-        cand, _ = lexical_predecessor_candidate(g)
+        cand, _ = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, stop, "positive")
     except NoCandidate:
         raise NoDecomposition(
             f"{format_sequence(g)} admits neither structural form in class {m}"
@@ -202,7 +208,9 @@ def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization
     if fac is not None:
         # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m
         return power(extend_even(fac.g), fac.d - 1) + _predecessor_tail(fac.g, fac.m), fac
-    cand, _ = lexical_predecessor_candidate(a)
+    # positive cells, right to left, down to cell 1: the only member whose first cell
+    # is 1 and so cannot merge left is (1,), the least element of L_2, raised above
+    cand, _ = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, "positive")
     return cand, None
 
 

@@ -4,6 +4,12 @@ Positions are 1-based. Odd positions are positive cells, even positions
 negative cells. A rewrite on a negative cell moves the sequence up in the
 order, on a positive cell down, and either rewrite flips the parity of the
 length while preserving the degree.
+
+The L_n and D_n steps scan with ``_first_lexical_rewrite``, which assumes its
+input is a lexical member: its first cell is then its largest, so a probe that
+keeps that cell unique and largest is lexical without a suffix comparison, and
+only a probe in which it recurs goes to ``is_lexical``. The public candidate
+scans accept any input and are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -104,3 +110,35 @@ def lexical_predecessor_candidate(a: AlphaSeq) -> tuple[AlphaSeq, int]:
         if is_lexical(cand):
             return cand, i
     raise NoCandidate(f"no positive-cell rewrite of {format_sequence(a)} is lexical")
+
+
+def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, side: str) -> tuple[AlphaSeq, int]:
+    """First lexical rewrite of a lexical ``a`` at positions range(start, stop, -2).
+
+    Returns what the public candidate scan over the same positions returns, and
+    raises NoCandidate naming ``side`` when no probe is lexical. ``a[0]`` is the
+    largest cell of ``a`` and a split never raises a cell, so a split at i >= 2
+    is lexical when ``a[0]`` no longer recurs in it. A merge raises only cell
+    i - 1: past ``a[0]`` it is rejected for i > 2, and for i = 2 it becomes the
+    new, unique first cell, which is lexical. Every other probe goes to
+    is_lexical: one in which ``a[0]`` recurs, and a split of cell 1, which
+    lowers the first cell itself.
+    """
+    head = a[0] if a else 0
+    heads = a.count(head)
+    for i in range(start, stop, -2):
+        v = a[i - 1]
+        if v >= 2:
+            cand = a[: i - 1] + (v - 1, 1) + a[i:]
+            unsettled = i == 1 or heads - (v == head) > 1
+        else:
+            w = a[i - 2] + 1
+            cand = a[: i - 2] + (w,) + a[i:]
+            if i == 2:
+                return cand, i
+            if w > head:
+                continue
+            unsettled = heads + (w == head) > 1
+        if not unsettled or is_lexical(cand):
+            return cand, i
+    raise NoCandidate(f"no {side}-cell rewrite of {format_sequence(a)} is lexical")

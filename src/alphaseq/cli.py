@@ -133,10 +133,16 @@ def _cmd_list(args) -> int:
     # read off the module at call time, so a rebound walk is the one that runs
     walk = getattr(enumeration, f"enumerate_{args.set_name}{'_descending' if args.desc else ''}")
     stream = walk(args.n)
-    # only a --limit below the set's size cuts the stream, so an overshooting walk still shows
-    count = oracle.cardinality(args.set_name, args.n)
-    if args.limit is not None and args.limit < count:
-        stream, count = islice(stream, args.limit), args.limit
+    # only a --limit below the set's size cuts the stream, so an overshooting walk still shows.
+    # |A_n| = 2^(n-1) takes n/8 bytes, so for an the cut is read off the limit's bit length.
+    if args.limit is None:
+        cut = False
+    elif args.set_name == "an":
+        cut = args.limit.bit_length() < args.n
+    else:
+        cut = args.limit < oracle.cardinality(args.set_name, args.n)
+    if cut:
+        stream = islice(stream, args.limit)
     # One encoder for every format: the walk is taken 64 items at a time, and each item
     # becomes the row of its cells joined by commas, all in C; each distinct cell value is
     # converted to text once, by the table. 64 items keep each write well inside one 8 KiB
@@ -157,6 +163,7 @@ def _cmd_list(args) -> int:
             write("\n".join(rows) + "\n")
         return EXIT_OK
     # "count" precedes "items", so it is the length decided above, not read off the stream
+    count = args.limit if cut else oracle.cardinality(args.set_name, args.n)
     write(f'{{"n":{args.n},"set":"{args.set_name}","count":{count},"items":[')
     lead = "["
     for chunk in chunks:

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
 
 import alphaseq
-from alphaseq.oracle import all_compositions
+from alphaseq.core import degree, extend_even, is_member, power, star
+from alphaseq.oracle import all_compositions, oracle_ln
 
 settings.register_profile("suite", deadline=None, max_examples=150)
 settings.load_profile("suite")
@@ -16,6 +17,30 @@ settings.load_profile("suite")
 elements = st.integers(min_value=1, max_value=7)
 sequences = st.lists(elements, max_size=8).map(tuple)
 nonempty_sequences = st.lists(elements, min_size=1, max_size=8).map(tuple)
+
+
+# the members of L_2 ... L_10, ascending, that head_repeating_members builds from
+_SMALL_LN = {m: oracle_ln(m) for m in range(2, 11)}
+
+
+@st.composite
+def head_repeating_members(draw):
+    """(a, n) with a member a of L_n whose first cell recurs: star(f, b) with f in L_m
+    and b in L_d, or power(extend_even(f), k) + t with t below f in L_m. The plain
+    strategies above almost never draw such a member, and there a step's scan must
+    compare a with its suffixes."""
+    m = draw(st.integers(min_value=4, max_value=10))
+    members = _SMALL_LN[m]
+    i = draw(st.integers(min_value=1, max_value=len(members) - 1))
+    f = members[i]
+    if draw(st.booleans()):
+        a = star(f, draw(st.sampled_from(_SMALL_LN[draw(st.integers(min_value=2, max_value=6))])))
+    else:
+        a = power(extend_even(f), draw(st.integers(min_value=1, max_value=4)))
+        a += draw(st.sampled_from(members[:i]))
+    n = 1 + degree(a)
+    assume(is_member(a, "L", n) and a.count(a[0]) > 1)
+    return a, n
 
 
 def sequences_up_to_degree(k):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from alphaseq.adjacency import (
     StarFactorization,
@@ -29,6 +30,8 @@ from alphaseq.core import (
 from alphaseq.enumeration import enumerate_ln, enumerate_ln_descending
 from alphaseq.errors import InvalidN, Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
 from alphaseq.oracle import oracle_ln
+
+from conftest import head_repeating_members
 
 
 def test_successor_ln_examples():
@@ -97,9 +100,15 @@ def _star_factorize_unpruned(a, n):
 
 
 def test_star_factorize_matches_the_unpruned_loop():
-    for n in range(1, 17):
+    for n in range(1, 19):
         for a in oracle_ln(n):
             assert star_factorize(a, n) == _star_factorize_unpruned(a, n), (n, a)
+    # 24 has eight divisors, so the running prefix degree meets many proper classes;
+    # only members whose first cell recurs have a suffix candidate at all
+    repeating = [a for a in enumerate_ln(24) if a.count(a[0]) > 1]
+    assert len(repeating) > 10000
+    for a in repeating:
+        assert star_factorize(a, 24) == _star_factorize_unpruned(a, 24), a
 
 
 def test_lexical_sequence_of_another_class_is_not_a_member():
@@ -265,6 +274,32 @@ def test_round_trip():
         for a, b in zip(ordered, ordered[1:]):
             assert predecessor_ln(successor_ln(a, n), n) == a
             assert successor_ln(predecessor_ln(b, n), n) == b
+
+
+@given(head_repeating_members())
+def test_round_trip_where_the_first_cell_recurs(member):
+    a, n = member
+    try:
+        assert predecessor_ln(successor_ln(a, n), n) == a
+    except Maximal:
+        pass
+    try:
+        assert successor_ln(predecessor_ln(a, n), n) == a
+    except Minimal:
+        pass
+
+
+def test_round_trip_at_least_elements():
+    # least_element(3 * 2**k) repeats its first cell about n/4 times, the worst case of
+    # the forward scan; n = 768 takes tens of milliseconds. L_3 = {(2,)} has no step.
+    for k in range(1, 9):
+        n = 3 * 2**k
+        a = least_element(n)
+        b = successor_ln(a, n)
+        assert predecessor_ln(b, n) == a
+        assert successor_ln(predecessor_ln(b, n), n) == b
+        with pytest.raises(Minimal):
+            predecessor_ln(a, n)
 
 
 def test_meet_sandwich():

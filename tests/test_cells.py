@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from alphaseq.cells import (
+    _first_lexical_rewrite,
     apply_at,
     conjugate,
     lexical_predecessor_candidate,
@@ -21,10 +22,14 @@ from alphaseq.core import (
     extend_even,
     extend_odd,
     format_sequence,
+    is_fundamental,
     is_lexical,
+    is_member,
+    least_element,
+    star,
 )
 from alphaseq.errors import Maximal, Minimal, NoCandidate, NotConjugatable, NotSplittable
-from alphaseq.oracle import oracle_an
+from alphaseq.oracle import oracle_an, oracle_ln
 
 from conftest import nonempty_sequences, sequences_up_to_degree
 
@@ -219,3 +224,33 @@ def test_candidate_scan_is_bounded():
     a = (3, 1, 2, 1)
     _, i = lexical_successor_candidate(a)
     assert (len(a) - i) // 2 + 1 <= len(a) // 2
+
+
+def _members_with_known_answers():
+    """Every member of L_n for n <= 18, the least elements of L_(3 * 2**k) for k <= 6,
+    and every resonant product star(f, least_element(d)) with m * d <= 24: the last two
+    are where a[0] recurs and the scan must hand its probes to is_lexical."""
+    for n in range(1, 19):
+        yield from oracle_ln(n)
+    for k in range(7):
+        yield least_element(3 * 2**k)
+    for m in range(2, 13):
+        for f in filter(is_fundamental, oracle_ln(m)):
+            for d in range(2, 24 // m + 1):
+                a = star(f, least_element(d))
+                assert is_member(a, "L", m * d), (f, d)
+                yield a
+
+
+def test_member_scan_matches_the_candidate_scans():
+    # the L_n and D_n steps scan with _first_lexical_rewrite, which assumes a member;
+    # on members it returns, or raises, exactly what the public scans do
+    seen = 0
+    for a in _members_with_known_answers():
+        succ = _outcome(_first_lexical_rewrite, a, len(a) - len(a) % 2, 1, "negative")
+        assert succ == _outcome(lexical_successor_candidate, a), a
+        stop = 1 if a[:1] == (1,) else 0
+        pred = _outcome(_first_lexical_rewrite, a, len(a) - 1 + len(a) % 2, stop, "positive")
+        assert pred == _outcome(lexical_predecessor_candidate, a), a
+        seen += len(a) > 1 and a.count(a[0]) > 1
+    assert seen > 1000

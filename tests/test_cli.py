@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,24 @@ def test_list_cell_table_does_not_grow_with_n(capsys, monkeypatch, peak_rss_kb):
     argv = ["list", "--set", "an", "100000000", "--limit", "1"]
     assert peak_rss_kb("-c", CAPPED_CHILD, *argv) < 64 * 1024
     assert run(capsys, *argv) == (0, "1,99999999\n", "")
+
+
+def test_list_an_with_a_small_limit_builds_no_set_size(capsys, monkeypatch):
+    # |A_n| = 2^(n-1) is a 12.5 MB integer at n = 10**8; a --limit of 1 must not build it
+    monkeypatch.setenv("ALPHASEQ_ENUM_CAP", "100000000")
+    argv = ["list", "--set", "an", "100000000", "--limit", "1"]
+    tracemalloc.start()
+    try:
+        code = cli.run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, "1,99999999\n")
+    assert peak < 1 << 20, peak
+    # the JSON header states the count it cut to
+    assert run(capsys, *argv, "--format", "json") == (
+        0, '{"n":100000000,"set":"an","count":1,"items":[[1,99999999]]}\n', ""
+    )
 
 
 def test_list_json_round_trips(capsys):
