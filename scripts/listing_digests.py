@@ -45,6 +45,9 @@ ERRORS = [
     ["harmonic", "-1", "2,1"], ["harmonic", "x", "2,1"], ["least", "0"], ["least", "-1"], ["least", "x"],
     ["list", "--set", "ln", "x"], ["list", "--set", "ln", "5", "--limit", "x"], ["verify", "1"],
     ["nonsense"], [], ["star", "9" * 4300, "1"], ["harmonic", "1", "9" * 4300],
+    ["list", "--set", "ln", "1_0"], ["list", "--set", "ln", "+6"], ["list", "--set", "ln", "\u0661\u0662"],
+    ["list", "--set", "ln", "5", "--limit", "1_0"], ["list", "--set", "ln", "5", "--limit", "+3"],
+    ["verify", "\u0661", "2"], ["harmonic", "+1", "2,1"], ["least", "1_0"], ["succ", "--set", "ln", "+7", "6"],
 ]
 COMMANDS = [
     *(["list", "--set", set_name, str(n), *desc, "--format", fmt, *limit]

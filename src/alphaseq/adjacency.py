@@ -40,7 +40,7 @@ from .core import (
     star,
     two_adic_split,
 )
-from .errors import Maximal, Minimal, NoCandidate, NoDecomposition
+from .errors import Maximal, Minimal, NoDecomposition
 
 class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
     """Witness that a sequence equals star(g, lam) with g fundamental in L_m.
@@ -63,7 +63,7 @@ def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization |
     k = len(a)
     if k < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of L_{n}")
-    cand, i = _first_lexical_rewrite(a, k - k % 2, 1, "negative")
+    cand, i = _first_lexical_rewrite(a, k - k % 2, 1)
     # the meet f of a and cand, read off the rewrite at position i: a split
     # lowers cell i by one, a conjugation raises cell i - 1 and drops cell i,
     # which is 1. Either way m = 1 + degree(f) is the degree of a[:i], which is
@@ -190,13 +190,10 @@ def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
             return power(extend_odd(tau), 2 * s) + tau
     # positive cells, right to left; a first cell of value 1 has no left neighbour
     stop = 1 if g[:1] == (1,) else 0
-    try:
-        cand, _ = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, stop, "positive")
-    except NoCandidate:
-        raise NoDecomposition(
-            f"{format_sequence(g)} admits neither structural form in class {m}"
-        ) from None
-    return cand
+    found = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, stop)
+    if found is None:
+        raise NoDecomposition(f"{format_sequence(g)} admits neither structural form in class {m}")
+    return found[0]
 
 
 def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
@@ -210,7 +207,7 @@ def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization
         return power(extend_even(fac.g), fac.d - 1) + _predecessor_tail(fac.g, fac.m), fac
     # positive cells, right to left, down to cell 1: the only member whose first cell
     # is 1 and so cannot merge left is (1,), the least element of L_2, raised above
-    cand, _ = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, "positive")
+    cand, _ = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0)
     return cand, None
 
 

@@ -8,8 +8,9 @@ length while preserving the degree.
 The L_n and D_n steps scan with ``_first_lexical_rewrite``, which assumes its
 input is a lexical member: its first cell is then its largest, so a probe that
 keeps that cell unique and largest is lexical without a suffix comparison, and
-only a probe in which it recurs goes to ``is_lexical``. The public candidate
-scans accept any input and are the reference it is tested against.
+only a probe in which it recurs goes to ``is_lexical``. No walk calls ``split``,
+``conjugate``, ``apply_at`` or the public candidate scans: they are the paper's
+operations and the reference the inline rewrites are tested against.
 """
 
 from __future__ import annotations
@@ -43,15 +44,10 @@ def conjugate(a: AlphaSeq, i: int) -> AlphaSeq:
 
 def apply_at(a: AlphaSeq, i: int) -> AlphaSeq:
     """Split at i when the value is >= 2, conjugate when it is 1."""
-    # Every candidate probe of the L_n and D_n walks lands here, so a valid
-    # rewrite is built inline; anything else raises from split or conjugate.
-    if 1 <= i <= len(a):
-        v = a[i - 1]
-        if v >= 2:
-            return a[: i - 1] + (v - 1, 1) + a[i:]
-        if v == 1 and i >= 2:
-            return a[: i - 2] + (a[i - 2] + 1,) + a[i:]
-    return split(a, i) if a[i - 1] >= 2 else conjugate(a, i)
+    # a position out of range goes to split, whose index check names it
+    if 1 <= i <= len(a) and a[i - 1] < 2:
+        return conjugate(a, i)
+    return split(a, i)
 
 
 def successor_an(a: AlphaSeq) -> AlphaSeq:
@@ -59,14 +55,14 @@ def successor_an(a: AlphaSeq) -> AlphaSeq:
     if len(a) < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of its A_n")
     # the A_n walks step here, so the rewrite at 0-based index j >= 1 is built
-    # inline; a cell below 1 takes apply_at for its error
+    # inline; a cell below 1 takes conjugate for its error
     j = len(a) - len(a) % 2 - 1
     v = a[j]
     if v >= 2:
         return a[:j] + (v - 1, 1) + a[j + 1 :]
     if v == 1:
         return a[: j - 1] + (a[j - 1] + 1,) + a[j + 1 :]
-    return apply_at(a, j + 1)
+    return conjugate(a, j + 1)
 
 
 def predecessor_an(a: AlphaSeq) -> AlphaSeq:
@@ -82,7 +78,7 @@ def predecessor_an(a: AlphaSeq) -> AlphaSeq:
         if not j:
             raise Minimal(f"{format_sequence(a)} is the minimal element of its A_n")
         return a[: j - 1] + (a[j - 1] + 1,) + a[j + 1 :]
-    return apply_at(a, j + 1)
+    return conjugate(a, j + 1)
 
 
 def lexical_successor_candidate(a: AlphaSeq) -> tuple[AlphaSeq, int]:
@@ -112,17 +108,17 @@ def lexical_predecessor_candidate(a: AlphaSeq) -> tuple[AlphaSeq, int]:
     raise NoCandidate(f"no positive-cell rewrite of {format_sequence(a)} is lexical")
 
 
-def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, side: str) -> tuple[AlphaSeq, int]:
+def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int) -> tuple[AlphaSeq, int] | None:
     """First lexical rewrite of a lexical ``a`` at positions range(start, stop, -2).
 
-    Returns what the public candidate scan over the same positions returns, and
-    raises NoCandidate naming ``side`` when no probe is lexical. ``a[0]`` is the
-    largest cell of ``a`` and a split never raises a cell, so a split at i >= 2
-    is lexical when ``a[0]`` no longer recurs in it. A merge raises only cell
-    i - 1: past ``a[0]`` it is rejected for i > 2, and for i = 2 it becomes the
-    new, unique first cell, which is lexical. Every other probe goes to
-    is_lexical: one in which ``a[0]`` recurs, and a split of cell 1, which
-    lowers the first cell itself.
+    Returns what the public candidate scan over the same positions returns, or
+    None where that scan raises NoCandidate. ``a[0]`` is the largest cell of
+    ``a`` and a split never raises a cell, so a split at i >= 2 is lexical when
+    ``a[0]`` no longer recurs in it. A merge raises only cell i - 1: past
+    ``a[0]`` it is rejected for i > 2, and for i = 2 it becomes the new, unique
+    first cell, which is lexical. Every other probe goes to is_lexical: one in
+    which ``a[0]`` recurs, and a split of cell 1, which lowers the first cell
+    itself.
     """
     head = a[0] if a else 0
     heads = a.count(head)
@@ -141,4 +137,4 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, side: str) -> tup
             unsettled = heads + (w == head) > 1
         if not unsettled or is_lexical(cand):
             return cand, i
-    raise NoCandidate(f"no {side}-cell rewrite of {format_sequence(a)} is lexical")
+    return None

@@ -58,12 +58,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    """argparse type of each integer argument: ASCII digits, as in a cell, after an optional "-"."""
+    digits = text.strip().removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _count(text: str) -> int:
     """argparse type of ``--limit`` and ``j``: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -75,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list", help="stream an ordered set")
     p.add_argument("--set", dest="set_name", choices=("an", "ln", "dn"), required=True)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--desc", action="store_true", help="descending order")
     p.add_argument("--limit", type=_count, metavar="K", help="emit only the first K elements")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -84,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, way in (("succ", "up"), ("pred", "down")):
         p = sub.add_parser(name, help=f"one adjacency step {way} (dn: the full insertion burst)")
         p.add_argument("--set", dest="set_name", choices=("an", "ln", "dn"), required=True)
-        p.add_argument("n", type=int)
+        p.add_argument("n", type=_integer)
         p.add_argument("seq", type=parse_sequence)
         p.set_defaults(run=_cmd_step)
 
@@ -113,12 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_harmonic)
 
     p = sub.add_parser("least", help="least element of L_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(run=_cmd_least)
 
     p = sub.add_parser("verify", help="check enumeration against the brute-force oracle")
-    p.add_argument("n_min", type=int)
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_min", type=_integer)
+    p.add_argument("n_max", type=_integer)
     p.set_defaults(run=_cmd_verify)
 
     return parser

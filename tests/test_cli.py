@@ -377,6 +377,20 @@ def test_sequence_cells_are_ascii_digits(capsys, text):
     assert run(capsys, "lexical", text) == (1, "", message)
 
 
+@pytest.mark.parametrize("text", ["1_0", "+6", "\u0661\u0662"])
+@pytest.mark.parametrize("argv, argument", [
+    (["list", "--set", "ln", "{}"], "n"),
+    (["list", "--set", "ln", "5", "--limit", "{}"], "--limit"),
+    (["verify", "{}", "2"], "n_min"),
+    (["harmonic", "{}", "2,1"], "j"),
+])
+def test_integer_arguments_are_ascii_digits(capsys, text, argv, argument):
+    # int() reads each of these as a number; an integer argument is spelled as a cell is
+    argv = [text if a == "{}" else a for a in argv]
+    message = f"alphaseq {argv[0]}: error: argument {argument}: invalid int value: {text!r}\n"
+    assert run(capsys, *argv) == (1, "", message)
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "1", "8")
     assert code == 0

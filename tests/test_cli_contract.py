@@ -22,7 +22,8 @@ from alphaseq.core import format_sequence, least_element
 
 SMALL_N = (1, 2, 30, 31)
 HUGE_N = (2**63, 10**30)
-NS = [str(n) for n in (-1, 0, *SMALL_N, *HUGE_N)]
+MALFORMED_INTS = ["1_0", "+6", "\u0661\u0662"]
+NS = [str(n) for n in (-1, 0, *SMALL_N, *HUGE_N)] + MALFORMED_INTS
 MEMBERS = [format_sequence(least_element(n)) for n in SMALL_N] + [str(n - 1) for n in SMALL_N + HUGE_N]
 NEAR_MISSES = ["2,3", "3,1,3", "1,1", "4,2", "2,1,1,2,2"]
 MALFORMED = ["", "1,,2", "1_0", "\u0661\u0662", "3, 1", "+3", "-1", "0,1", "x"]
@@ -39,7 +40,7 @@ argvs = st.one_of(
     st.tuples(
         st.just("list"), st.just("--set"), set_name, n,
         st.sampled_from([[], ["--desc"]]),
-        st.sampled_from(["-1", "0", "1", "3", "x"]).map(lambda k: ["--limit", k]),
+        st.sampled_from(["-1", "0", "1", "3", "x", *MALFORMED_INTS]).map(lambda k: ["--limit", k]),
         st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]]),
     ),
     st.tuples(st.sampled_from(["succ", "pred"]), st.just("--set"), set_name, n, seq),
