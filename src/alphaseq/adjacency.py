@@ -4,13 +4,18 @@ The forward step rewrites the last negative cell that keeps the result
 lexical, then corrects for resonance: with f the meet of the pair and
 m = 1 + degree(f), the rewrite itself is adjacent unless m divides n, in
 which case the adjacent successor is star(f, least_element(n // m)). The
-reverse step inverts this with one search, star_factorize. A sequence of the
-form star(g, least_element(d)) with g fundamental steps down to
+reverse step inverts this. A member of L_n other than its least element has
+a lexical positive-cell rewrite exactly when it is no star product (checked
+on every member of L_2 ... L_26), so the step sets the least element apart,
+then scans the positive cells and takes the first lexical probe. Only at the
+first probe is_lexical rejects, or when the scan ends empty, does it search
+once for a star factorization, with star_factorize. A sequence of the form
+star(g, least_element(d)) with g fundamental steps down to
 extend_even(g)^(d-1) followed by a companion tail, read off g's own star
-factorization in L_m. The trivial factorization marks the least element of
-L_n; anything else steps down by a positive-cell rewrite. That g is the meet f
-of the forward step, so both steps have one shape: the neighbour, and the
-StarFactorization(f, m, least_element(d), d) of the resonant pair, or None.
+factorization in L_m; a member that does not factor resumes the scan past
+the rejected probe. That g is the meet f of the forward step, so both steps
+have one shape: the neighbour, and the StarFactorization(f, m,
+least_element(d), d) of the resonant pair, or None.
 A D_n step in either direction inserts the harmonics of f that lie below
 star(f, least_element(d)), and only _harmonics_below says which they are.
 
@@ -198,16 +203,23 @@ def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
 
 def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
     """Adjacent predecessor of a member of L_n and the star factorization it was read from."""
-    fac = _star_factorize(a, n)
-    # L_1 holds only the zero sequence; the trivial factorization is L_n's least element
-    if n == 1 or (fac is not None and fac.trivial):
+    # L_1 holds only the zero sequence. No least element has a cell above 2, and
+    # a[0] is the largest cell of a lexical a, so least_element(n) is rarely built.
+    if n == 1 or (a[0] <= 2 and a == least_element(n)):
         raise Minimal(f"{format_sequence(a)} is the minimal element of L_{n}")
+    # Positive cells, right to left, down to cell 1: the only member whose first
+    # cell is 1 and so cannot merge left is (1,), the least element of L_2, raised
+    # above. Only a star product has no lexical rewrite, so the star search waits
+    # for the first probe is_lexical rejects, and a star product pays for one.
+    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, halt=True)
+    if found is not None and found[0] is not None:
+        return found[0], None
+    fac = _star_factorize(a, n)
     if fac is not None:
         # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m
         return power(extend_even(fac.g), fac.d - 1) + _predecessor_tail(fac.g, fac.m), fac
-    # positive cells, right to left, down to cell 1: the only member whose first cell
-    # is 1 and so cannot merge left is (1,), the least element of L_2, raised above
-    cand, _ = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0)
+    # not a star product, so the scan finds a lexical rewrite past the rejected probe
+    cand, _ = _first_lexical_rewrite(a, found[1] - 2, 0)
     return cand, None
 
 

@@ -108,7 +108,9 @@ def lexical_predecessor_candidate(a: AlphaSeq) -> tuple[AlphaSeq, int]:
     raise NoCandidate(f"no positive-cell rewrite of {format_sequence(a)} is lexical")
 
 
-def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int) -> tuple[AlphaSeq, int] | None:
+def _first_lexical_rewrite(
+    a: AlphaSeq, start: int, stop: int, halt: bool = False
+) -> tuple[AlphaSeq | None, int] | None:
     """First lexical rewrite of a lexical ``a`` at positions range(start, stop, -2).
 
     Returns what the public candidate scan over the same positions returns, or
@@ -119,6 +121,11 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int) -> tuple[AlphaSeq
     first cell, which is lexical. Every other probe goes to is_lexical: one in
     which ``a[0]`` recurs, and a split of cell 1, which lowers the first cell
     itself.
+
+    With ``halt``, the scan stops at the first probe that is_lexical rejects
+    and returns (None, i) for its position i, so the reverse step can look for
+    a star factorization before it pays for more suffix comparisons; the scan
+    resumes at start i - 2.
     """
     head = a[0] if a else 0
     heads = a.count(head)
@@ -137,4 +144,6 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int) -> tuple[AlphaSeq
             unsettled = heads + (w == head) > 1
         if not unsettled or is_lexical(cand):
             return cand, i
+        if halt:
+            return None, i
     return None

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+from alphaseq import adjacency, cells
 from alphaseq.adjacency import (
     StarFactorization,
     _successor_parts,
@@ -20,12 +21,15 @@ from alphaseq.core import (
     degree,
     extend_even,
     extend_odd,
+    harmonic,
     is_fundamental,
     is_lexical,
+    is_member,
     least_element,
     meet,
     power,
     star,
+    two_adic_split,
 )
 from alphaseq.enumeration import enumerate_ln, enumerate_ln_descending
 from alphaseq.errors import InvalidN, Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
@@ -227,7 +231,7 @@ def test_forward_step_errors(a, n, error, message):
 
 
 def test_least_element_factorizes_only_trivially():
-    # the reverse step reads Minimal off the trivial factorization
+    # star_factorize marks the least element of L_n with the trivial factorization
     for n in range(2, 201):
         fac = star_factorize(least_element(n), n)
         assert fac is not None and fac.trivial, n
@@ -359,3 +363,124 @@ def test_prime_steps_are_always_direct():
 def test_composite_steps_are_not_always_direct():
     assert not successor_is_direct((3, 1, 2, 1), 8)
     assert not successor_is_direct((2, 1, 1, 1), 6)
+
+
+def test_members_without_a_lexical_rewrite_are_exactly_the_star_products():
+    # the law the reverse step's order rests on: a member of L_n has no lexical
+    # positive-cell rewrite exactly when star_factorize factors it, as a star
+    # product or as the least element (trivially)
+    factored = 0
+    for n in range(2, 21):
+        for a in enumerate_ln(n):
+            try:
+                lexical_predecessor_candidate(a)
+                rewrites = True
+            except NoCandidate:
+                rewrites = False
+            assert rewrites == (star_factorize(a, n) is None), (n, a)
+            factored += not rewrites
+    assert factored > 100
+
+
+def _star_first_predecessor(a, n):
+    """The reverse step with the star search first, from the public pieces alone:
+    the L_n predecessor and the D_n burst, or None at the least element."""
+    fac = star_factorize(a, n)
+    if n == 1 or (fac is not None and fac.trivial):
+        return None
+    if fac is None:
+        pred = lexical_predecessor_candidate(a)[0]
+        return pred, [pred]
+    pred = power(extend_even(fac.g), fac.d - 1) + predecessor_tail(fac.g, fac.m)
+    # the harmonics of g below a, as successor_dn's docstring lists them, the highest first
+    k, t = two_adic_split(fac.d)
+    return pred, [harmonic(j, fac.g) for j in range(k + (t > 0))][::-1] + [pred]
+
+
+def _assert_star_first(a, n):
+    want = _star_first_predecessor(a, n)
+    if want is None:
+        for step in (predecessor_ln, predecessor_dn):
+            with pytest.raises(Minimal):
+                step(a, n)
+    else:
+        assert (predecessor_ln(a, n), predecessor_dn(a, n)) == want, (n, a)
+
+
+def test_reverse_step_matches_the_star_first_reference():
+    for n in range(1, 19):
+        for a in enumerate_ln(n):
+            _assert_star_first(a, n)
+
+
+@given(head_repeating_members())
+def test_reverse_step_matches_the_star_first_reference_where_the_first_cell_recurs(member):
+    _assert_star_first(*member)
+
+
+@pytest.mark.parametrize("n", [64, 96, 128, 210, 256])
+def test_reverse_step_matches_the_star_first_reference_on_star_products(n):
+    seen = 0
+    for m in range(2, 11):
+        if n % m:
+            continue
+        for f in oracle_ln(m):
+            a = star(f, least_element(n // m))
+            assert is_member(a, "L", n), (f, n)
+            _assert_star_first(a, n)
+            seen += 1
+    assert seen >= 10
+
+
+def _record_reverse_step(monkeypatch):
+    """The list to which each is_lexical call of the step bodies ("lexical") and each
+    star search ("star") is appended, in order; the public entries' input check, which
+    calls core.is_lexical itself, is not recorded."""
+    events = []
+
+    def recorded(event, fn):
+        def wrapper(*args):
+            events.append(event)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(adjacency, "_star_factorize", recorded("star", adjacency._star_factorize))
+    monkeypatch.setattr(adjacency, "is_lexical", recorded("lexical", adjacency.is_lexical))
+    monkeypatch.setattr(cells, "is_lexical", recorded("lexical", cells.is_lexical))
+    return events
+
+
+def test_reverse_walk_rarely_searches_for_a_star_factorization(monkeypatch):
+    # the star search waits for a probe is_lexical rejects: over L_18 it runs on
+    # 564 of the 7 279 steps, where a search first ran on every one
+    events = _record_reverse_step(monkeypatch)
+    steps = sum(1 for _ in enumerate_ln_descending(18)) - 1
+    assert steps == 7279
+    assert events.count("star") <= steps // 10
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_reverse_step_from_a_least_element_probes_nothing(monkeypatch, k):
+    # the least element is told by its first cell and one comparison, before any scan
+    n = 3 * 2**k
+    a = least_element(n)
+    events = _record_reverse_step(monkeypatch)
+    for step in (predecessor_ln, predecessor_dn):
+        with pytest.raises(Minimal):
+            step(a, n)
+    assert events == []
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_resonant_reverse_step_pays_at_most_one_lexicality_test_first(monkeypatch, k):
+    # the successor of least_element(3 * 2**k) is a star product whose first cell
+    # recurs about n/4 times: the scan halts at its first rejected probe, so at most
+    # one is_lexical call comes before the star search that finds the factorization
+    n = 3 * 2**k
+    a = least_element(n)
+    b = successor_ln(a, n)
+    events = _record_reverse_step(monkeypatch)
+    assert predecessor_ln(b, n) == a
+    assert "star" in events
+    assert events[: events.index("star")].count("lexical") <= 1

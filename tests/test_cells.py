@@ -24,6 +24,7 @@ from alphaseq.core import (
     extend_odd,
     format_sequence,
     is_fundamental,
+    is_lexical,
     is_member,
     least_element,
     star,
@@ -240,3 +241,21 @@ def test_member_scan_matches_the_candidate_scans():
         assert pred is not None or not a or _star_factorize(a, degree(a) + 1) is not None, a
         seen += len(a) > 1 and a.count(a[0]) > 1
     assert seen > 1000
+
+
+def test_halted_scan_resumes_where_it_stopped():
+    # with halt, the scan stops at the first probe is_lexical rejects and returns
+    # (None, i); resumed at i - 2 without halt, it ends where the whole scan ends
+    halted = 0
+    for a in _members_with_known_answers():
+        negative = (len(a) - len(a) % 2, 1)
+        positive = (len(a) - 1 + len(a) % 2, 1 if a[:1] == (1,) else 0)
+        for start, stop in (negative, positive):
+            whole = _first_lexical_rewrite(a, start, stop)
+            found = _first_lexical_rewrite(a, start, stop, halt=True)
+            if found is not None and found[0] is None:
+                halted += 1
+                assert not is_lexical(apply_at(a, found[1])), a
+                found = _first_lexical_rewrite(a, found[1] - 2, stop)
+            assert found == whole, a
+    assert halted > 1000

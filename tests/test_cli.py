@@ -377,6 +377,14 @@ def test_sequence_cells_are_ascii_digits(capsys, text):
     assert run(capsys, "lexical", text) == (1, "", message)
 
 
+def test_whitespace_may_surround_an_argument_but_not_sit_inside_it(capsys):
+    # whitespace around the whole argument is no part of a cell; inside it, it is
+    assert run(capsys, "lexical", " 3,1 ") == (0, "true\n", "")
+    message = "alphaseq lexical: error: argument seq: invalid parse_sequence value: '3 ,1'\n"
+    assert run(capsys, "lexical", "3 ,1") == (1, "", message)
+    assert run(capsys, "least", " 4 ") == (0, format_sequence(least_element(4)) + "\n", "")
+
+
 @pytest.mark.parametrize("text", ["1_0", "+6", "\u0661\u0662"])
 @pytest.mark.parametrize("argv, argument", [
     (["list", "--set", "ln", "{}"], "n"),
