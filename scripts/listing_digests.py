@@ -8,8 +8,10 @@ x n in {0, 1, 2, 3, 6, 8, 12, 16, 18, 31}; n = 0, n = 31 and --limit -1 are
 the error exits. ``verify`` runs over [1, 1], [1, 8], [1, 14], [12, 12] and
 [15, 16], and over the error exits [0, 3], [5, 4] and [1, 21]. Then come the
 error exits of the step and algebra commands and of argument parsing (``ERRORS``),
-two of them on a 4300-digit cell (shown shortened). Last, with ALPHASEQ_ENUM_CAP
+two of them on a 4300-digit cell (shown shortened). Then, with ALPHASEQ_ENUM_CAP
 raised to 100 in this process, come listings whose cells run to 99 (``RAISED_CAP``).
+Last come the domain-error exits of a cap spelled as no integer argument is,
+one per cap variable. Each environment group is set for its own commands only.
 Each digest covers the exit code, stderr and stdout of one in-process run of
 the checkout this script belongs to, so diffing the output of two checkouts
 shows any change in what these commands print.
@@ -22,6 +24,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from alphaseq import cli  # noqa: E402
@@ -66,11 +69,16 @@ def show(arg: str) -> str:
     return arg if len(arg) <= 40 else f"{arg[:8]}...({len(arg)} chars)"
 
 
-for env, argvs in (([], COMMANDS), (["ALPHASEQ_ENUM_CAP=100"], RAISED_CAP)):
-    os.environ.update(v.split("=") for v in env)
+for env, argvs in (
+    ([], COMMANDS),
+    (["ALPHASEQ_ENUM_CAP=100"], RAISED_CAP),
+    (["ALPHASEQ_ENUM_CAP=1_0"], [["list", "--set", "ln", "5"]]),
+    (["ALPHASEQ_ORACLE_CAP=+3"], [["verify", "1", "3"]]),
+):
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.run(argv)
+        with mock.patch.dict(os.environ, (v.split("=") for v in env)):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.run(argv)
         digest = hashlib.sha256(f"{code}\0{err.getvalue()}\0{out.getvalue()}".encode())
         print(digest.hexdigest(), " ".join(map(show, env + argv)))

@@ -9,6 +9,7 @@ Usage: python scripts/show_tables.py --set dn 8
 
 import argparse
 
+from alphaseq.core import parse_integer
 from alphaseq.enumeration import enumerate_an, enumerate_dn, enumerate_ln
 
 STREAMS = {"an": enumerate_an, "ln": enumerate_ln, "dn": enumerate_dn}
@@ -17,7 +18,7 @@ STREAMS = {"an": enumerate_an, "ln": enumerate_ln, "dn": enumerate_dn}
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--set", dest="set_name", choices=sorted(STREAMS), default="dn")
-    parser.add_argument("n", type=int)
+    parser.add_argument("n", type=parse_integer)
     args = parser.parse_args()
 
     rows = list(STREAMS[args.set_name](args.n))

@@ -2,9 +2,10 @@
 
 ``ALPHASEQ_ENUM_CAP`` (default 30) bounds the adjacency enumerations and
 ``ALPHASEQ_ORACLE_CAP`` (default 20) bounds the oracle's exhaustive
-generation. A cap is read on every check, so a change to the environment
-takes effect at the next call. This module knows nothing of the sets
-themselves, so the oracle can share it without depending on the walks.
+generation. A cap is spelled as ``core.parse_integer`` reads an integer
+argument, and is read on every check, so a change to the environment takes
+effect at the next call. This module knows nothing of the sets themselves,
+so the oracle can share it without depending on the walks.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 
+from .core import parse_integer
 from .errors import CapExceeded, check_n
 
 
@@ -23,22 +25,17 @@ class Cap(namedtuple("Cap", "variable default label")):
 
     __slots__ = ()
 
-    def value(self) -> int:
+    def check(self, n: int) -> None:
+        """Raise InvalidN for n < 1, ValueError for a cap that is not a positive
+        integer and CapExceeded for n above the cap."""
+        check_n(n)
         raw = os.environ.get(self.variable)
-        if raw is None:
-            return self.default
         try:
-            cap = int(raw)
+            cap = self.default if raw is None else parse_integer(raw)
         except ValueError:
             cap = 0  # reported below, with the non-positive values
         if cap < 1:
             raise ValueError(f"{self.variable} must be a positive integer, got {raw!r}")
-        return cap
-
-    def check(self, n: int) -> None:
-        """Raise InvalidN for n < 1 and CapExceeded for n above the cap."""
-        check_n(n)
-        cap = self.value()
         if n > cap:
             raise CapExceeded(f"n={n} above {self.label} cap {cap}")
 

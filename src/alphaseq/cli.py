@@ -37,6 +37,7 @@ from .core import (
     least_element,
     meet,
     is_lexical,
+    parse_integer,
     parse_sequence,
     require_member,
     star,
@@ -59,14 +60,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """argparse type of each integer argument: ASCII digits, as in a cell, after an optional "-"."""
-    digits = text.strip().removeprefix("-")
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than the interpreter converts
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """argparse type of each integer argument: a text ``parse_integer`` refuses is a usage error."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _count(text: str) -> int:

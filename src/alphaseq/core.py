@@ -225,6 +225,15 @@ class SetContext(namedtuple("SetContext", "kind n")):
         return is_member(a, self.kind, self.n)
 
 
+def parse_integer(text: str) -> int:
+    """Parse ASCII digits after an optional "-", with whitespace allowed around the whole
+    text; any other spelling, or more digits than the interpreter converts, raises ValueError."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_sequence(text: str) -> AlphaSeq:
     """Parse the canonical text form: comma-separated positive integers written
     in ASCII digits (no sign, underscore, space or other script's digits), or "0"."""

@@ -238,12 +238,24 @@ def test_list_cap(capsys, monkeypatch):
     ("ALPHASEQ_ENUM_CAP", ("list", "--set", "ln", "5")),
     ("ALPHASEQ_ORACLE_CAP", ("verify", "1", "3")),
 ])
-@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "1_0", "+12", "\u0661\u0662"])
 def test_malformed_cap_is_a_domain_error(capsys, monkeypatch, variable, argv, value):
+    # a cap is spelled like an integer argument, so int()'s looser spellings are refused
     monkeypatch.setenv(variable, value)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"alphaseq: {variable} must be a positive integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("variable, argv, label", [
+    ("ALPHASEQ_ENUM_CAP", ("list", "--set", "an", "12", "--limit", "1"), "enumeration"),
+    ("ALPHASEQ_ORACLE_CAP", ("verify", "12", "12"), "oracle"),
+])
+def test_cap_may_be_surrounded_by_whitespace(capsys, monkeypatch, variable, argv, label):
+    monkeypatch.setenv(variable, " 12 ")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv(variable, " 11 ")
+    assert run(capsys, *argv) == (2, "", f"alphaseq: n=12 above {label} cap 11\n")
 
 
 def test_succ(capsys):

@@ -35,7 +35,7 @@ NEAR_MISSES = ["2,3", "3,1,3", "1,1", "4,2", "2,1,1,2,2"]
 MALFORMED = [Refused(t) for t in ("", "1,,2", "1_0", "\u0661\u0662", "3, 1", "3 ,1", "+3", "-1", "0,1", "x")]
 HUGE_CELLS = [str(2**63), str(10**30), "9" * 4300]
 SEQS = ["0", *MEMBERS, *NEAR_MISSES, *MALFORMED, *HUGE_CELLS]
-CAPS = (None, "abc", "-1", "0", "1")
+CAPS = (None, "abc", "-1", "0", "1", "1_0", "\u0661\u0662")
 
 n = st.sampled_from(NS)
 seq = st.sampled_from(SEQS)

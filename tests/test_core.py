@@ -19,6 +19,7 @@ from alphaseq.core import (
     least_element,
     meet,
     order_key,
+    parse_integer,
     parse_sequence,
     power,
     require_member,
@@ -335,6 +336,14 @@ def test_parse_accepts_ascii_digits_only():
             parse_sequence(bad)
     assert parse_sequence(" 3,1\n") == (3, 1)  # surrounding whitespace is not in a cell
     assert parse_sequence("007,1") == (7, 1)
+
+
+def test_parse_integer_reads_ascii_digits_after_an_optional_minus():
+    assert [parse_integer(t) for t in ("12", " 12 ", "-3", "0")] == [12, 12, -3, 0]
+    # int() reads the first three as 10, 6 and 12; the last is past its digit limit
+    for bad in ("1_0", "+6", "\u0661\u0662", "", "-", "1 2", "9" * 4301):
+        with pytest.raises(ValueError):
+            parse_integer(bad)
 
 
 @given(sequences)
