@@ -54,31 +54,45 @@ def successor_an(a: AlphaSeq) -> AlphaSeq:
     """Adjacent successor in A_n: rewrite at the last negative cell."""
     if len(a) < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of its A_n")
-    # the A_n walks step here, so the rewrite at 0-based index j >= 1 is built
-    # inline; a cell below 1 takes conjugate for its error
-    j = len(a) - len(a) % 2 - 1
-    v = a[j]
+    # the A_n walks step here; the rewrite changes only the last one to three
+    # cells, so only they are rebuilt; a cell below 1 takes conjugate for its error
+    if len(a) % 2:
+        v = a[-2]
+        if v >= 2:
+            return a[:-2] + (v - 1, 1, a[-1])
+        if v == 1:
+            return a[:-3] + (a[-3] + 1, a[-1])
+        return conjugate(a, len(a) - 1)
+    v = a[-1]
     if v >= 2:
-        return a[:j] + (v - 1, 1) + a[j + 1 :]
+        return a[:-1] + (v - 1, 1)
     if v == 1:
-        return a[: j - 1] + (a[j - 1] + 1,) + a[j + 1 :]
-    return conjugate(a, j + 1)
+        return a[:-2] + (a[-2] + 1,)
+    return conjugate(a, len(a))
 
 
 def predecessor_an(a: AlphaSeq) -> AlphaSeq:
     """Adjacent predecessor in A_n: rewrite at the last positive cell."""
     if not a:
         raise Minimal("the zero sequence is not a member of any A_n")
-    # built inline at 0-based index j, as in successor_an
-    j = len(a) + len(a) % 2 - 2
-    v = a[j]
-    if v >= 2:
-        return a[:j] + (v - 1, 1) + a[j + 1 :]
+    # the same shapes as successor_an at the last positive cell, rebuilding only
+    # the last one to three cells; a 1 in cell 1 has no left neighbour to merge
+    # into, so (1,) and (1, x) fall through to Minimal
+    if len(a) % 2:
+        v = a[-1]
+        if v >= 2:
+            return a[:-1] + (v - 1, 1)
+        if v == 1 and len(a) > 1:
+            return a[:-2] + (a[-2] + 1,)
+    else:
+        v = a[-2]
+        if v >= 2:
+            return a[:-2] + (v - 1, 1, a[-1])
+        if v == 1 and len(a) > 2:
+            return a[:-3] + (a[-3] + 1, a[-1])
     if v == 1:
-        if not j:
-            raise Minimal(f"{format_sequence(a)} is the minimal element of its A_n")
-        return a[: j - 1] + (a[j - 1] + 1,) + a[j + 1 :]
-    return conjugate(a, j + 1)
+        raise Minimal(f"{format_sequence(a)} is the minimal element of its A_n")
+    return conjugate(a, len(a) - 1 + len(a) % 2)
 
 
 def lexical_successor_candidate(a: AlphaSeq) -> tuple[AlphaSeq, int]:

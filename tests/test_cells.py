@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from alphaseq import cells
 from alphaseq.adjacency import _star_factorize
 from alphaseq.cells import (
     _first_lexical_rewrite,
@@ -29,6 +30,7 @@ from alphaseq.core import (
     least_element,
     star,
 )
+from alphaseq.enumeration import enumerate_an, enumerate_an_descending
 from alphaseq.errors import Maximal, Minimal, NoCandidate, NotConjugatable, NotSplittable
 from alphaseq.oracle import oracle_an, oracle_ln
 
@@ -115,6 +117,45 @@ def test_rewrites_match_the_split_conjugate_dispatch_on_every_small_input():
         for a in itertools.product((-1, 0, 1, 2, 3), repeat=k):
             assert _outcome(successor_an, a) == _outcome(_successor_an, a), a
             assert _outcome(predecessor_an, a) == _outcome(_predecessor_an, a), a
+
+
+def test_rewrites_match_the_dispatch_behind_a_longer_prefix():
+    # lengths 6 and 7 put cells before the a[-3] merged into by a rewrite at the
+    # last cell but one, which the lengths above reach only with a short prefix
+    for k in (6, 7):
+        for a in itertools.product((0, 1, 2, 3), repeat=k):
+            assert _outcome(successor_an, a) == _outcome(_successor_an, a), a
+            assert _outcome(predecessor_an, a) == _outcome(_predecessor_an, a), a
+
+
+def _record_paper_rewrites(monkeypatch):
+    """The list to which each call of split, conjugate and apply_at made through the
+    globals of cells, the names the A_n steps would call them by, appends its name."""
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("split", "conjugate", "apply_at"):
+        monkeypatch.setattr(cells, name, recorded(name, getattr(cells, name)))
+    return calls
+
+
+def test_an_walks_rebuild_their_cells_without_the_paper_rewrites(monkeypatch):
+    # each A_n step rebuilds its last one to three cells itself; conjugate is
+    # called only for the error of a cell below 1
+    calls = _record_paper_rewrites(monkeypatch)
+    for n in range(1, 15):
+        assert sum(1 for _ in enumerate_an(n)) == 2 ** (n - 1)
+        assert sum(1 for _ in enumerate_an_descending(n)) == 2 ** (n - 1)
+    assert calls == []
+    with pytest.raises(NotConjugatable):
+        successor_an((2, 0))
+    assert calls == ["conjugate"]
 
 
 def test_matches_the_closure_form_of_the_rewrites():
