@@ -8,14 +8,15 @@ reverse step inverts this. A member of L_n other than its least element has
 a lexical positive-cell rewrite exactly when it is no star product (checked
 on every member of L_2 ... L_26), so the step sets the least element apart,
 then scans the positive cells and takes the first lexical probe. Only at the
-first probe is_lexical rejects, or when the scan ends empty, does it search
-once for a star factorization, with star_factorize. A sequence of the form
-star(g, least_element(d)) with g fundamental steps down to
+first probe whose lexicality test fails, or when the scan ends empty, does it
+search once for a star factorization, with star_factorize. A sequence of the
+form star(g, least_element(d)) with g fundamental steps down to
 extend_even(g)^(d-1) followed by a companion tail, read off g's own star
-factorization in L_m; a member that does not factor resumes the scan past
-the rejected probe. That g is the meet f of the forward step, so both steps
-have one shape: the neighbour, and the StarFactorization(f, m,
-least_element(d), d) of the resonant pair, or None.
+factorization in L_m; a member that does not factor goes on with the scan
+past the rejected probe, and all its probes share one head table. That g is
+the meet f of the forward step, so both steps have one shape: the neighbour,
+and the StarFactorization(f, m, least_element(d), d) of the resonant pair, or
+None.
 A D_n step in either direction inserts the harmonics of f that lie below
 star(f, least_element(d)), and only _harmonics_below says which they are.
 
@@ -210,17 +211,15 @@ def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization
     # Positive cells, right to left, down to cell 1: the only member whose first
     # cell is 1 and so cannot merge left is (1,), the least element of L_2, raised
     # above. Only a star product has no lexical rewrite, so the star search waits
-    # for the first probe is_lexical rejects, and a star product pays for one.
-    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, halt=True)
-    if found is not None and found[0] is not None:
-        return found[0], None
-    fac = _star_factorize(a, n)
-    if fac is not None:
+    # for the first probe whose test fails, and a star product pays for one; a
+    # member that does not factor goes on with the scan.
+    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, _star_factorize, n)
+    if found is None:  # no lexical probe and no failed test: a star product
+        found = _star_factorize(a, n)
+    if isinstance(found, StarFactorization):
         # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m
-        return power(extend_even(fac.g), fac.d - 1) + _predecessor_tail(fac.g, fac.m), fac
-    # not a star product, so the scan finds a lexical rewrite past the rejected probe
-    cand, _ = _first_lexical_rewrite(a, found[1] - 2, 0)
-    return cand, None
+        return power(extend_even(found.g), found.d - 1) + _predecessor_tail(found.g, found.m), found
+    return found[0], None
 
 
 def predecessor_ln(a: AlphaSeq, n: int) -> AlphaSeq:

@@ -70,16 +70,33 @@ def is_lexical(a: AlphaSeq) -> bool:
     # The first cell of the alternating-sign view counts positive, so a suffix
     # starting below a[0] is below a and one starting above is above it: any
     # larger later cell fails, and only the suffixes starting with a cell equal
-    # to a[0] need compare.
+    # to a[0] need a test.
     head = a[0]
     if max(a) > head:
         return False
     j = 0
     for _ in range(a.count(head) - 1):
         j = a.index(head, j + 1)
-        if compare(a, a[j:]) != GREATER:
+        if not _above_suffix(a, j):
             return False
     return True
+
+
+def _above_suffix(a: AlphaSeq, j: int, t: int = 0) -> bool:
+    """True if ``a`` is above its proper suffix ``a[j:]``, 0 < j < len(a).
+
+    The same decision as ``compare(a, a[j:]) == GREATER``, made in place: the
+    first differing cell decides by the parity of its index, and a suffix
+    that runs out is below ``a`` when its length is even. The walk starts at
+    index ``t``, for a caller that knows the cells before it agree.
+    """
+    k = len(a) - j
+    for t in range(t, k):
+        x = a[t]
+        y = a[j + t]
+        if x != y:
+            return (x > y) != (t & 1)
+    return not k & 1
 
 
 def meet(a: AlphaSeq, b: AlphaSeq) -> AlphaSeq:

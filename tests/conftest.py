@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, settings
 
 import alphaseq
+from alphaseq import adjacency, cells, core
 from alphaseq.core import degree, extend_even, is_member, power, star
 from alphaseq.oracle import all_compositions, oracle_ln
 
@@ -41,6 +42,36 @@ def head_repeating_members(draw):
     n = 1 + degree(a)
     assume(is_member(a, "L", n) and a.count(a[0]) > 1)
     return a, n
+
+
+@pytest.fixture
+def step_events(monkeypatch):
+    """The list to which the steps' lexicality work is appended, in order, through the
+    module globals they read: "test" for each suffix test (``_above_suffix``, in core
+    where ``is_lexical`` calls it and in cells, and the compare in cells), "table" for
+    each head table, "probe" for each probe's test (``is_lexical``, ``_above_heads`` or
+    the compare in cells) and "star" for each star search. The public entries' input
+    check calls ``is_lexical`` too, so its suffix tests are recorded."""
+    events = []
+
+    def recorded(names, fn):
+        def wrapper(*args):
+            events.extend(names)
+            return fn(*args)
+
+        return wrapper
+
+    for module, attr, names in (
+        (core, "_above_suffix", ("test",)),
+        (cells, "_above_suffix", ("test",)),
+        (cells, "compare", ("probe", "test")),
+        (cells, "is_lexical", ("probe",)),
+        (cells, "_above_heads", ("probe",)),
+        (cells, "_head_windows", ("table",)),
+        (adjacency, "_star_factorize", ("star",)),
+    ):
+        monkeypatch.setattr(module, attr, recorded(names, getattr(module, attr)))
+    return events
 
 
 def sequences_up_to_degree(k):

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given
 
-from alphaseq import adjacency, cells
 from alphaseq.adjacency import (
     StarFactorization,
+    _predecessor_dn,
+    _predecessor_parts,
     _successor_parts,
     predecessor_dn,
     predecessor_ln,
@@ -294,9 +295,9 @@ def test_round_trip_where_the_first_cell_recurs(member):
 
 
 def test_round_trip_at_least_elements():
-    # least_element(3 * 2**k) repeats its first cell about n/4 times, the worst case of
-    # the forward scan; n = 768 takes tens of milliseconds. L_3 = {(2,)} has no step.
-    for k in range(1, 9):
+    # least_element(3 * 2**k) repeats its first cell n/3 times, the worst case of the
+    # forward scan; n = 12288 takes about a second. L_3 = {(2,)} has no step.
+    for k in range(1, 13):
         n = 3 * 2**k
         a = least_element(n)
         b = successor_ln(a, n)
@@ -432,55 +433,46 @@ def test_reverse_step_matches_the_star_first_reference_on_star_products(n):
     assert seen >= 10
 
 
-def _record_reverse_step(monkeypatch):
-    """The list to which each is_lexical call of the step bodies ("lexical") and each
-    star search ("star") is appended, in order; the public entries' input check, which
-    calls core.is_lexical itself, is not recorded."""
-    events = []
-
-    def recorded(event, fn):
-        def wrapper(*args):
-            events.append(event)
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(adjacency, "_star_factorize", recorded("star", adjacency._star_factorize))
-    monkeypatch.setattr(adjacency, "is_lexical", recorded("lexical", adjacency.is_lexical))
-    monkeypatch.setattr(cells, "is_lexical", recorded("lexical", cells.is_lexical))
-    return events
-
-
-def test_reverse_walk_rarely_searches_for_a_star_factorization(monkeypatch):
-    # the star search waits for a probe is_lexical rejects: over L_18 it runs on
+def test_reverse_walk_rarely_searches_for_a_star_factorization(step_events):
+    # the star search waits for a probe whose test fails: over L_18 it runs on
     # 564 of the 7 279 steps, where a search first ran on every one
-    events = _record_reverse_step(monkeypatch)
     steps = sum(1 for _ in enumerate_ln_descending(18)) - 1
     assert steps == 7279
-    assert events.count("star") <= steps // 10
+    assert step_events.count("star") <= steps // 10
 
 
 @pytest.mark.parametrize("k", [6, 8])
-def test_reverse_step_from_a_least_element_probes_nothing(monkeypatch, k):
+def test_reverse_step_from_a_least_element_probes_nothing(step_events, k):
     # the least element is told by its first cell and one comparison, before any scan
     n = 3 * 2**k
     a = least_element(n)
-    events = _record_reverse_step(monkeypatch)
-    for step in (predecessor_ln, predecessor_dn):
+    for step in (_predecessor_parts, _predecessor_dn):
         with pytest.raises(Minimal):
             step(a, n)
-    assert events == []
+    assert step_events == []
 
 
 @pytest.mark.parametrize("k", [6, 8])
-def test_resonant_reverse_step_pays_at_most_one_lexicality_test_first(monkeypatch, k):
+def test_resonant_reverse_step_pays_at_most_one_lexicality_test_first(step_events, k):
     # the successor of least_element(3 * 2**k) is a star product whose first cell
-    # recurs about n/4 times: the scan halts at its first rejected probe, so at most
-    # one is_lexical call comes before the star search that finds the factorization
+    # recurs about n/3 times: the scan calls the star search at its first rejected
+    # probe, so at most one probe is tested before the search finds the factorization
     n = 3 * 2**k
     a = least_element(n)
-    b = successor_ln(a, n)
-    events = _record_reverse_step(monkeypatch)
-    assert predecessor_ln(b, n) == a
-    assert "star" in events
-    assert events[: events.index("star")].count("lexical") <= 1
+    b = _successor_parts(a, n)[0]
+    step_events.clear()
+    assert _predecessor_parts(b, n)[0] == a
+    assert "star" in step_events
+    assert step_events[: step_events.index("star")].count("probe") <= 1
+
+
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_forward_step_from_a_least_element_shares_one_head_table(step_events, k):
+    # least_element(3 * 2**k) repeats its first cell n/3 times, and its step up
+    # rejects most of its probes: they share one table of the heads' comparison
+    # windows, and together they make about one suffix test per head
+    n = 3 * 2**k
+    a = least_element(n)
+    _successor_parts(a, n)
+    assert step_events.count("table") <= 1
+    assert step_events.count("test") <= 1.5 * a.count(a[0])

@@ -25,7 +25,6 @@ from alphaseq.core import (
     extend_odd,
     format_sequence,
     is_fundamental,
-    is_lexical,
     is_member,
     least_element,
     star,
@@ -242,12 +241,13 @@ def test_candidate_scan_is_bounded():
 
 
 def _members_with_known_answers():
-    """Every member of L_n for n <= 18, the least elements of L_(3 * 2**k) for k <= 6,
+    """Every member of L_n for n <= 18, the least elements of L_(3 * 2**k) for k <= 8,
     and every resonant product star(f, least_element(d)) with m * d <= 24: the last two
-    are where a[0] recurs and the scan must hand its probes to is_lexical."""
+    are where a[0] recurs and the scan must test its probes against the suffixes at the
+    heads, over comparison windows up to hundreds of cells long."""
     for n in range(1, 19):
         yield from oracle_ln(n)
-    for k in range(7):
+    for k in range(9):
         yield least_element(3 * 2**k)
     for m in range(2, 13):
         for f in filter(is_fundamental, oracle_ln(m)):
@@ -285,18 +285,24 @@ def test_member_scan_matches_the_candidate_scans():
 
 
 def test_halted_scan_resumes_where_it_stopped():
-    # with halt, the scan stops at the first probe is_lexical rejects and returns
-    # (None, i); resumed at i - 2 without halt, it ends where the whole scan ends
+    # the scan calls halt once, at the first probe whose test fails: a result other
+    # than None is returned at once, and None lets the scan end where the whole scan
+    # ends. Every probe before the answer fails; all are tested but a merge that
+    # lifts its cell past a[0]
     halted = 0
     for a in _members_with_known_answers():
         negative = (len(a) - len(a) % 2, 1)
         positive = (len(a) - 1 + len(a) % 2, 1 if a[:1] == (1,) else 0)
         for start, stop in (negative, positive):
             whole = _first_lexical_rewrite(a, start, stop)
-            found = _first_lexical_rewrite(a, start, stop, halt=True)
-            if found is not None and found[0] is None:
+            calls = []
+            assert _first_lexical_rewrite(a, start, stop, lambda *args: calls.append(args)) == whole, a
+            failed = range(start, stop if whole is None else whole[1], -2)
+            lifted = [i for i in failed if a[i - 1] == 1 and i > 2 and a[i - 2] >= a[0]]
+            tested = len(failed) - len(lifted)
+            assert len(calls) == (tested > 0), a
+            if tested:
                 halted += 1
-                assert not is_lexical(apply_at(a, found[1])), a
-                found = _first_lexical_rewrite(a, found[1] - 2, stop)
-            assert found == whole, a
+                assert calls == [(a, 0)], a
+                assert _first_lexical_rewrite(a, start, stop, lambda *args: "halted") == "halted", a
     assert halted > 1000

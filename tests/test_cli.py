@@ -286,6 +286,15 @@ def test_pred(capsys):
     assert "minimal" in err
 
 
+def test_step_from_a_long_least_element_round_trips(capsys):
+    # least_element(3072) repeats its first cell 1024 times; its step up, once cubic in
+    # n and seconds long, shares one head table across its probes
+    least = format_sequence(least_element(3072))
+    code, out, err = run(capsys, "succ", "--set", "ln", "3072", least)
+    assert (code, err) == (0, "")
+    assert run(capsys, "pred", "--set", "ln", "3072", out.strip()) == (0, least + "\n", "")
+
+
 def test_pred_dn(capsys):
     # each burst runs from the member down to the previous member of L_8,
     # through the lower-class elements of D_8 between them

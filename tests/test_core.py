@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -27,7 +28,7 @@ from alphaseq.core import (
     two_adic_split,
 )
 from alphaseq.errors import InvalidN, NotInSet, PrefixAmbiguity, UndefinedOperation
-from alphaseq.oracle import oracle_an, oracle_dn, oracle_ln
+from alphaseq.oracle import _lexical, oracle_an, oracle_dn, oracle_ln
 
 from conftest import nonempty_sequences, sequences, sequences_up_to_degree
 
@@ -96,9 +97,26 @@ def test_is_lexical_examples(a, expected):
 
 
 def test_is_lexical_is_the_definition_exhaustively():
-    # the first-cell filter passes compare only the suffixes that start with a[0]
-    for a in sequences_up_to_degree(14):
-        assert is_lexical(a) == all(compare(a, a[i:]) == GREATER for i in range(1, len(a))), a
+    # is_lexical tests only the suffixes at the cells equal to a[0], in place; the
+    # oracle compares a with every suffix through compare, a route it does not share
+    for a in sequences_up_to_degree(16):
+        assert is_lexical(a) == _lexical(a), a
+
+
+_cells_123 = st.lists(st.integers(min_value=1, max_value=3), max_size=40).map(tuple)
+_blocks_123 = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=6).map(tuple)
+
+
+@given(
+    st.one_of(
+        _cells_123,
+        st.builds(lambda b, k, t: (b * k + t)[:40], _blocks_123, st.integers(1, 12), _cells_123),
+    )
+)
+def test_is_lexical_is_the_definition_on_long_sequences(a):
+    # three cell values, and a repeated block, make long shared prefixes and suffixes
+    # that are left factors of a at either parity of their length
+    assert is_lexical(a) == _lexical(a), a
 
 
 def test_meet_examples():

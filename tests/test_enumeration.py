@@ -1,10 +1,9 @@
 import timeit
-from collections import Counter
 from itertools import islice
 
 import pytest
 
-from alphaseq import adjacency, cells, core
+from alphaseq import adjacency
 from alphaseq.core import ZERO, order_key
 from alphaseq.enumeration import (
     enumerate_an,
@@ -198,37 +197,25 @@ def test_walks_do_not_revalidate(monkeypatch):
         calls.clear()
 
 
-# Calls per element of the walk's output: (is_lexical, compare, star searches), each the
-# larger of the figures measured for n = 16 and n = 20. A walk may spend up to a quarter
-# more before the gate fails; ascending L_n never searches for a star factorization.
+# Lexicality work per element of the walk's output: (suffix tests, head tables, star
+# searches), each the larger of the figures measured for n = 16 and n = 20. A walk may
+# spend up to a quarter more before the gate fails; ascending L_n never searches for a
+# star factorization.
 WALK_COSTS = {
-    enumerate_ln: (0.292, 0.442, 0),
-    enumerate_ln_descending: (0.319, 0.440, 0.090),
-    enumerate_dn_descending: (0.316, 0.439, 0.089),
+    enumerate_ln: (0.285, 0.206, 0),
+    enumerate_ln_descending: (0.288, 0.207, 0.090),
+    enumerate_dn_descending: (0.285, 0.206, 0.089),
 }
 HEADROOM = 1.25
 
 
 @pytest.mark.parametrize("n", [16, 20])
 @pytest.mark.parametrize("walk", list(WALK_COSTS), ids=lambda walk: walk.__name__)
-def test_walks_keep_their_counted_cost(monkeypatch, walk, n):
-    # the calls go through the module globals the walks read, as the steps make them;
-    # compare is reached only through core.is_lexical
-    counts = Counter()
-
-    def counted(event, fn):
-        def wrapper(*args):
-            counts[event] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(core, "compare", counted("compare", core.compare))
-    monkeypatch.setattr(cells, "is_lexical", counted("lexical", cells.is_lexical))
-    monkeypatch.setattr(adjacency, "is_lexical", counted("lexical", adjacency.is_lexical))
-    monkeypatch.setattr(adjacency, "_star_factorize", counted("star", adjacency._star_factorize))
+def test_walks_keep_their_counted_cost(step_events, walk, n):
+    # the work is counted through the module globals the walks read, as the steps
+    # make it: each suffix test, whether is_lexical or a probe's head check makes it
     elements = sum(1 for _ in walk(n))
-    spent = tuple(counts[event] / elements for event in ("lexical", "compare", "star"))
+    spent = tuple(step_events.count(event) / elements for event in ("test", "table", "star"))
     bounds = tuple(HEADROOM * cost for cost in WALK_COSTS[walk])
     assert all(s <= b for s, b in zip(spent, bounds)), (spent, bounds)
 
