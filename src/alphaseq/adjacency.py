@@ -16,9 +16,11 @@ factorization in L_m; a member that does not factor goes on with the scan
 past the rejected probe, and all its probes share one head table. That g is
 the meet f of the forward step, so both steps have one shape: the neighbour,
 and the StarFactorization(f, m, least_element(d), d) of the resonant pair, or
-None.
-A D_n step in either direction inserts the harmonics of f that lie below
+None. A D_n step in either direction inserts the harmonics of f that lie below
 star(f, least_element(d)), and only _harmonics_below says which they are.
+
+Both steps probe with _first_lexical_rewrite, here with the star search it
+runs; it tests its probes with core's head table and uses nothing of cells.
 
 Each public entry validates its input as a member of L_n once, with
 ``core.require_member``, and calls a private body that assumes one. The
@@ -30,10 +32,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cells import _first_lexical_rewrite
 from .core import (
+    GREATER,
     AlphaSeq,
     ZERO,
+    _above_heads,
+    _head_windows,
+    compare,
     extend_even,
     extend_odd,
     format_sequence,
@@ -48,6 +53,7 @@ from .core import (
 )
 from .errors import Maximal, Minimal, NoDecomposition
 
+
 class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
     """Witness that a sequence equals star(g, lam) with g fundamental in L_m.
 
@@ -60,6 +66,68 @@ class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
     @property
     def trivial(self) -> bool:
         return self.g == ZERO
+
+
+def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0) -> object:
+    """First lexical rewrite of a lexical ``a`` at positions range(start, stop, -2).
+
+    Returns what the public candidate scan over the same positions returns, or
+    None where that scan raises NoCandidate. ``a[0]`` is the largest cell of
+    ``a`` and a split never raises a cell, so a split at i >= 2 is lexical when
+    ``a[0]`` no longer recurs in it. A merge raises only cell i - 1: past
+    ``a[0]`` it is rejected for i > 2, and for i = 2 it becomes the new, unique
+    first cell, which is lexical. Every other probe is tested against the
+    suffixes at its heads, the cells equal to ``a[0]``.
+
+    A probe keeps the cells of ``a`` before its rewrite index r, the 0-based
+    index of the first cell it changes, so the probes share one table of the
+    heads' windows in ``a`` (``core._head_windows``), read at the first that
+    needs it, and each tests only the heads whose window reaches its r and its
+    own heads from r on. A probe with r <= 1 goes to is_lexical whole; when
+    ``a[0]`` does not recur in ``a``, a probe's one other head is the cell r a
+    merge raised to ``a[0]``, and one compare decides it.
+
+    Given ``n``, the class of ``a``, the scan runs ``_star_factorize(a, n)``
+    once, at the first probe whose test fails, so a reverse step looks for a
+    star factorization before it pays for more probes: a factorization ends
+    the scan and is returned, and None lets the scan go on with the same table.
+    """
+    head = a[0] if a else 0
+    heads = a.count(head)
+    windows = None
+    for i in range(start, stop, -2):
+        v = a[i - 1]
+        if v >= 2:
+            cand = a[: i - 1] + (v - 1, 1) + a[i:]
+            r = i - 1
+            cand_heads = heads - (v == head)
+        else:
+            w = a[i - 2] + 1
+            cand = a[: i - 2] + (w,) + a[i:]
+            if i == 2:
+                return cand, i
+            if w > head:
+                continue
+            r = i - 2
+            cand_heads = heads + (w == head)
+        if r and cand_heads == 1:
+            return cand, i
+        if r <= 1:
+            lexical = is_lexical(cand)
+        elif heads == 1:
+            lexical = compare(cand, cand[r:]) == GREATER
+        else:
+            if windows is None:
+                windows = _head_windows(a, r, heads)
+            lexical = _above_heads(cand, r, windows, cand_heads)
+        if lexical:
+            return cand, i
+        if n:
+            found = _star_factorize(a, n)
+            if found is not None:
+                return found
+            n = 0
+    return None
 
 
 def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
@@ -213,7 +281,7 @@ def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization
     # above. Only a star product has no lexical rewrite, so the star search waits
     # for the first probe whose test fails, and a star product pays for one; a
     # member that does not factor goes on with the scan.
-    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, _star_factorize, n)
+    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, n)
     if found is None:  # no lexical probe and no failed test: a star product
         found = _star_factorize(a, n)
     if isinstance(found, StarFactorization):

@@ -6,6 +6,10 @@ identity for concatenation and for the star product. Sequences are ordered
 through their alternating-sign view (first element positive, second negated,
 and so on, padded with zeros), compared at the first differing position.
 Everything here is a pure function over immutable tuples.
+
+Every test of a sequence against the suffixes at its heads, the cells equal
+to its first, lives here: ``is_lexical``, and the head table
+(``_head_windows``, ``_above_heads``) that the probes of one L_n step share.
 """
 
 from __future__ import annotations
@@ -97,6 +101,51 @@ def _above_suffix(a: AlphaSeq, j: int, t: int = 0) -> bool:
         if x != y:
             return (x > y) != (t & 1)
     return not k & 1
+
+
+def _head_windows(a: AlphaSeq, r: int, heads: int) -> list[tuple[int, int]]:
+    """(j, j + lcp(a, a[j:])) for each head j of ``a`` with 0 < j < r, ascending.
+
+    ``heads`` is ``a.count(a[0])``. A head's window ends where ``a`` and
+    ``a[j:]`` first differ, or at ``len(a)`` when ``a[j:]`` runs out first.
+    """
+    head, k = a[0], len(a)
+    out = []
+    j = 0
+    for _ in range(heads - 1):
+        j = a.index(head, j + 1)
+        if j >= r:
+            break
+        e = j
+        while e < k and a[e - j] == a[e]:
+            e += 1
+        out.append((j, e))
+    return out
+
+
+def _above_heads(cand: AlphaSeq, r: int, windows: list[tuple[int, int]], cand_heads: int) -> bool:
+    """True if ``cand``, a probe with rewrite index ``r`` and ``cand_heads`` heads,
+    is above the suffix at each of its heads, given the ``windows`` of its input.
+
+    A head j < r whose window ends before r meets its first difference inside
+    the kept cells, exactly as in the lexical input, so it stays below. One
+    whose window reaches r agrees with the probe up to r and is tested from
+    there; the heads from r on are tested whole.
+    """
+    before = 1
+    for j, e in windows:
+        if j >= r:
+            break
+        before += 1
+        if e >= r and not _above_suffix(cand, j, r - j):
+            return False
+    head = cand[0]
+    j = r - 1
+    for _ in range(cand_heads - before):
+        j = cand.index(head, j + 1)
+        if not _above_suffix(cand, j):
+            return False
+    return True
 
 
 def meet(a: AlphaSeq, b: AlphaSeq) -> AlphaSeq:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, settings
 
 import alphaseq
-from alphaseq import adjacency, cells, core
+from alphaseq import adjacency, core
 from alphaseq.core import degree, extend_even, is_member, power, star
 from alphaseq.oracle import all_compositions, oracle_ln
 
@@ -47,11 +47,13 @@ def head_repeating_members(draw):
 @pytest.fixture
 def step_events(monkeypatch):
     """The list to which the steps' lexicality work is appended, in order, through the
-    module globals they read: "test" for each suffix test (``_above_suffix``, in core
-    where ``is_lexical`` calls it and in cells, and the compare in cells), "table" for
+    module globals they read: "test" for each suffix test (``core._above_suffix``, which
+    ``is_lexical`` and ``_above_heads`` call, and the compare in adjacency), "table" for
     each head table, "probe" for each probe's test (``is_lexical``, ``_above_heads`` or
-    the compare in cells) and "star" for each star search. The public entries' input
-    check calls ``is_lexical`` too, so its suffix tests are recorded."""
+    the compare in adjacency) and "star" for each star search. The star search reads the
+    same ``is_lexical`` binding as the scan, so its own ``is_lexical(g)`` calls are
+    recorded as "probe" after its "star". The public entries' input check calls
+    ``is_lexical`` in core, so its suffix tests are recorded and its call is not."""
     events = []
 
     def recorded(names, fn):
@@ -63,11 +65,10 @@ def step_events(monkeypatch):
 
     for module, attr, names in (
         (core, "_above_suffix", ("test",)),
-        (cells, "_above_suffix", ("test",)),
-        (cells, "compare", ("probe", "test")),
-        (cells, "is_lexical", ("probe",)),
-        (cells, "_above_heads", ("probe",)),
-        (cells, "_head_windows", ("table",)),
+        (adjacency, "compare", ("probe", "test")),
+        (adjacency, "is_lexical", ("probe",)),
+        (adjacency, "_above_heads", ("probe",)),
+        (adjacency, "_head_windows", ("table",)),
         (adjacency, "_star_factorize", ("star",)),
     ):
         monkeypatch.setattr(module, attr, recorded(names, getattr(module, attr)))

@@ -1,10 +1,13 @@
 import pytest
 from hypothesis import given
 
+from alphaseq import adjacency
 from alphaseq.adjacency import (
     StarFactorization,
+    _first_lexical_rewrite,
     _predecessor_dn,
     _predecessor_parts,
+    _star_factorize,
     _successor_parts,
     predecessor_dn,
     predecessor_ln,
@@ -381,6 +384,82 @@ def test_members_without_a_lexical_rewrite_are_exactly_the_star_products():
             assert rewrites == (star_factorize(a, n) is None), (n, a)
             factored += not rewrites
     assert factored > 100
+
+
+def _members_with_known_answers():
+    """Every member of L_n for n <= 18, the least elements of L_(3 * 2**k) for k <= 8,
+    and every resonant product star(f, least_element(d)) with m * d <= 24: the last two
+    are where a[0] recurs and the scan must test its probes against the suffixes at the
+    heads, over comparison windows up to hundreds of cells long."""
+    for n in range(1, 19):
+        yield from oracle_ln(n)
+    for k in range(9):
+        yield least_element(3 * 2**k)
+    for m in range(2, 13):
+        for f in filter(is_fundamental, oracle_ln(m)):
+            for d in range(2, 24 // m + 1):
+                a = star(f, least_element(d))
+                assert is_member(a, "L", m * d), (f, d)
+                yield a
+
+
+def _result_or_none(scan, a):
+    """What a public candidate scan returns, or None where it raises NoCandidate."""
+    try:
+        return scan(a)
+    except NoCandidate:
+        return None
+
+
+def test_member_scan_matches_the_candidate_scans():
+    # the L_n and D_n steps scan with _first_lexical_rewrite, which assumes a member;
+    # on members it returns what the public scans return, and None where they raise.
+    # The step bodies unpack its result unchecked, so it must find a rewrite up from
+    # every member of length >= 2, and down from every member of L_n, n >= 2, that
+    # _star_factorize does not factor (the zero sequence is L_1's only member)
+    seen = 0
+    for a in _members_with_known_answers():
+        succ = _first_lexical_rewrite(a, len(a) - len(a) % 2, 1)
+        assert succ == _result_or_none(lexical_successor_candidate, a), a
+        assert succ is not None or len(a) < 2, a
+        stop = 1 if a[:1] == (1,) else 0
+        pred = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, stop)
+        assert pred == _result_or_none(lexical_predecessor_candidate, a), a
+        assert pred is not None or not a or _star_factorize(a, degree(a) + 1) is not None, a
+        seen += len(a) > 1 and a.count(a[0]) > 1
+    assert seen > 1000
+
+
+def test_halted_scan_resumes_where_it_stopped(monkeypatch):
+    # given n, the scan runs the star search once, at the first probe whose test
+    # fails: a factorization is returned at once, and None lets the scan end where
+    # the plain scan ends. Every probe before the plain scan's answer fails; all are
+    # tested but a merge that lifts its cell past a[0]
+    calls = []
+
+    def search(a, n):
+        calls.append((a, n))
+        return _star_factorize(a, n)
+
+    monkeypatch.setattr(adjacency, "_star_factorize", search)
+    halted = factored = 0
+    for a in _members_with_known_answers():
+        n = degree(a) + 1
+        fac = _star_factorize(a, n)
+        negative = (len(a) - len(a) % 2, 1)
+        positive = (len(a) - 1 + len(a) % 2, 1 if a[:1] == (1,) else 0)
+        for start, stop in (negative, positive):
+            whole = _first_lexical_rewrite(a, start, stop)
+            failed = range(start, stop if whole is None else whole[1], -2)
+            lifted = [i for i in failed if a[i - 1] == 1 and i > 2 and a[i - 2] >= a[0]]
+            tested = len(failed) > len(lifted)
+            calls.clear()
+            found = _first_lexical_rewrite(a, start, stop, n)
+            assert calls == ([(a, n)] if tested else []), a
+            assert found == (fac if tested and fac is not None else whole), a
+            halted += tested
+            factored += tested and fac is not None
+    assert halted > 1000 and factored > 500
 
 
 def _star_first_predecessor(a, n):

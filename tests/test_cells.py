@@ -5,9 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from alphaseq import cells
-from alphaseq.adjacency import _star_factorize
 from alphaseq.cells import (
-    _first_lexical_rewrite,
     apply_at,
     conjugate,
     lexical_predecessor_candidate,
@@ -24,14 +22,10 @@ from alphaseq.core import (
     extend_even,
     extend_odd,
     format_sequence,
-    is_fundamental,
-    is_member,
-    least_element,
-    star,
 )
 from alphaseq.enumeration import enumerate_an, enumerate_an_descending
-from alphaseq.errors import Maximal, Minimal, NoCandidate, NotConjugatable, NotSplittable
-from alphaseq.oracle import oracle_an, oracle_ln
+from alphaseq.errors import Maximal, Minimal, NotConjugatable, NotSplittable
+from alphaseq.oracle import oracle_an
 
 from conftest import nonempty_sequences, sequences_up_to_degree
 
@@ -238,71 +232,3 @@ def test_candidate_scan_is_bounded():
     a = (3, 1, 2, 1)
     _, i = lexical_successor_candidate(a)
     assert (len(a) - i) // 2 + 1 <= len(a) // 2
-
-
-def _members_with_known_answers():
-    """Every member of L_n for n <= 18, the least elements of L_(3 * 2**k) for k <= 8,
-    and every resonant product star(f, least_element(d)) with m * d <= 24: the last two
-    are where a[0] recurs and the scan must test its probes against the suffixes at the
-    heads, over comparison windows up to hundreds of cells long."""
-    for n in range(1, 19):
-        yield from oracle_ln(n)
-    for k in range(9):
-        yield least_element(3 * 2**k)
-    for m in range(2, 13):
-        for f in filter(is_fundamental, oracle_ln(m)):
-            for d in range(2, 24 // m + 1):
-                a = star(f, least_element(d))
-                assert is_member(a, "L", m * d), (f, d)
-                yield a
-
-
-def _result_or_none(scan, a):
-    """What a public candidate scan returns, or None where it raises NoCandidate."""
-    try:
-        return scan(a)
-    except NoCandidate:
-        return None
-
-
-def test_member_scan_matches_the_candidate_scans():
-    # the L_n and D_n steps scan with _first_lexical_rewrite, which assumes a member;
-    # on members it returns what the public scans return, and None where they raise.
-    # The step bodies unpack its result unchecked, so it must find a rewrite up from
-    # every member of length >= 2, and down from every member of L_n, n >= 2, that
-    # _star_factorize does not factor (the zero sequence is L_1's only member)
-    seen = 0
-    for a in _members_with_known_answers():
-        succ = _first_lexical_rewrite(a, len(a) - len(a) % 2, 1)
-        assert succ == _result_or_none(lexical_successor_candidate, a), a
-        assert succ is not None or len(a) < 2, a
-        stop = 1 if a[:1] == (1,) else 0
-        pred = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, stop)
-        assert pred == _result_or_none(lexical_predecessor_candidate, a), a
-        assert pred is not None or not a or _star_factorize(a, degree(a) + 1) is not None, a
-        seen += len(a) > 1 and a.count(a[0]) > 1
-    assert seen > 1000
-
-
-def test_halted_scan_resumes_where_it_stopped():
-    # the scan calls halt once, at the first probe whose test fails: a result other
-    # than None is returned at once, and None lets the scan end where the whole scan
-    # ends. Every probe before the answer fails; all are tested but a merge that
-    # lifts its cell past a[0]
-    halted = 0
-    for a in _members_with_known_answers():
-        negative = (len(a) - len(a) % 2, 1)
-        positive = (len(a) - 1 + len(a) % 2, 1 if a[:1] == (1,) else 0)
-        for start, stop in (negative, positive):
-            whole = _first_lexical_rewrite(a, start, stop)
-            calls = []
-            assert _first_lexical_rewrite(a, start, stop, lambda *args: calls.append(args)) == whole, a
-            failed = range(start, stop if whole is None else whole[1], -2)
-            lifted = [i for i in failed if a[i - 1] == 1 and i > 2 and a[i - 2] >= a[0]]
-            tested = len(failed) - len(lifted)
-            assert len(calls) == (tested > 0), a
-            if tested:
-                halted += 1
-                assert calls == [(a, 0)], a
-                assert _first_lexical_rewrite(a, start, stop, lambda *args: "halted") == "halted", a
-    assert halted > 1000

@@ -57,6 +57,36 @@ def test_oracle_imports_none_of_the_adjacency_machinery():
                 assert {alias.name for alias in node.names} <= names, node.module
 
 
+def _module_body(name):
+    path = Path(alphaseq.__file__).parent / f"{name}.py"
+    return ast.parse(path.read_text(encoding="utf-8")).body
+
+
+def _relative_imports(name):
+    """{module: imported names} for the module-level imports of alphaseq.<name>,
+    which reaches its own package only by `from .module import ...`."""
+    out = {}
+    for node in _module_body(name):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("alphaseq") for alias in node.names), name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                assert not node.module.startswith("alphaseq"), name
+            else:
+                assert node.level == 1 and node.module, name  # not `from . import cells`
+                out.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    return out
+
+
+def test_each_concern_lives_in_its_own_module():
+    # core holds the head-suffix tests, cells the paper's rewrites, and adjacency
+    # decides how a step probes: it uses nothing of cells, and cells no private core name
+    assert "cells" not in _relative_imports("adjacency")
+    assert not any(n.startswith("_") for n in _relative_imports("cells")["core"])
+    defined = {node.name for node in _module_body("core") if isinstance(node, ast.FunctionDef)}
+    assert {"_head_windows", "_above_heads", "_above_suffix"} <= defined
+
+
 def test_cli_import_stays_light():
     # every CLI process pays for what `import alphaseq.cli` loads, whatever the command
     heavy = ("dataclasses", "inspect", "typing", "json", "csv")
