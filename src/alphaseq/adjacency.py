@@ -23,9 +23,10 @@ Both steps probe with _first_lexical_rewrite, here with the star search it
 runs; it tests its probes with core's head table and uses nothing of cells.
 
 Each public entry validates its input as a member of L_n once, with
-``core.require_member``, and calls a private body that assumes one. The
-walks call the bodies directly: every step yields a member of L_n, so its
-output needs no second check as the next step's input.
+``_require_ln``, whose lexicality test builds the input's head table, and
+hands the table to a private body that assumes a member: its probes and star
+search read it. The walks call the bodies with no table, since every step
+yields a member of L_n, and the scan builds one at the first probe needing it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .core import (
     AlphaSeq,
     ZERO,
     _above_heads,
-    _head_windows,
+    _head_table,
     compare,
     extend_even,
     extend_odd,
@@ -47,11 +48,10 @@ from .core import (
     is_lexical,
     least_element,
     power,
-    require_member,
     star,
     two_adic_split,
 )
-from .errors import Maximal, Minimal, NoDecomposition
+from .errors import Maximal, Minimal, NoDecomposition, NotInSet, check_n
 
 
 class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
@@ -68,7 +68,7 @@ class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
         return self.g == ZERO
 
 
-def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0) -> object:
+def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0, table: list | None = None) -> object:
     """First lexical rewrite of a lexical ``a`` at positions range(start, stop, -2).
 
     Returns what the public candidate scan over the same positions returns, or
@@ -79,13 +79,13 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0) -> ob
     first cell, which is lexical. Every other probe is tested against the
     suffixes at its heads, the cells equal to ``a[0]``.
 
-    A probe keeps the cells of ``a`` before its rewrite index r, the 0-based
-    index of the first cell it changes, so the probes share one table of the
-    heads' windows in ``a`` (``core._head_windows``), read at the first that
-    needs it, and each tests only the heads whose window reaches its r and its
-    own heads from r on. A probe with r <= 1 goes to is_lexical whole; when
-    ``a[0]`` does not recur in ``a``, a probe's one other head is the cell r a
-    merge raised to ``a[0]``, and one compare decides it.
+    A probe keeps the cells of ``a`` before its rewrite index r, the 0-based index
+    of the first cell it changes, and those after its rewrite, moved by one. So the
+    probes share the head table of ``a``, the caller's ``table`` or one built at the
+    first probe that needs it, and each tests only the heads whose window reaches r,
+    from r on (``core._above_heads``). A probe with r <= 1 goes to is_lexical whole;
+    when ``a[0]`` does not recur in ``a``, its one other head is the cell r a merge
+    raised to ``a[0]``, and one compare decides it.
 
     Given ``n``, the class of ``a``, the scan runs ``_star_factorize(a, n)``
     once, at the first probe whose test fails, so a reverse step looks for a
@@ -94,7 +94,6 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0) -> ob
     """
     head = a[0] if a else 0
     heads = a.count(head)
-    windows = None
     for i in range(start, stop, -2):
         v = a[i - 1]
         if v >= 2:
@@ -117,27 +116,38 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0) -> ob
         elif heads == 1:
             lexical = compare(cand, cand[r:]) == GREATER
         else:
-            if windows is None:
-                windows = _head_windows(a, r, heads)
-            lexical = _above_heads(cand, r, windows, cand_heads)
+            if table is None:
+                table = _head_table(a)
+            lexical = _above_heads(cand, r, table, len(cand) - len(a))
         if lexical:
             return cand, i
         if n:
-            found = _star_factorize(a, n)
+            found = _star_factorize(a, n, [] if heads == 1 else table)
             if found is not None:
                 return found
             n = 0
     return None
 
 
-def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
+def _require_ln(a: AlphaSeq, n: int) -> list:
+    """``core.require_member(a, "L", n)``, returning the head table of ``a`` for the step."""
+    check_n(n)
+    table = [] if not a and n == 1 else None
+    if a and min(a) >= 1 and sum(a) + 1 == n and max(a) <= a[0]:
+        table = _head_table(a)
+    if table is None:
+        raise NotInSet(f"{format_sequence(a)} is not a member of L_{n}")
+    return table
+
+
+def _successor_parts(a: AlphaSeq, n: int, table: list | None = None) -> tuple[AlphaSeq, StarFactorization | None]:
     """Adjacent successor of a member of L_n and, on a resonant step, its star factorization."""
     # the members of length at most one are (n - 1) and, for n = 1, the zero
     # sequence: each is the maximum of its L_n
     k = len(a)
     if k < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of L_{n}")
-    cand, i = _first_lexical_rewrite(a, k - k % 2, 1)
+    cand, i = _first_lexical_rewrite(a, k - k % 2, 1, 0, table)
     # the meet f of a and cand, read off the rewrite at position i: a split
     # lowers cell i by one, a conjugation raises cell i - 1 and drops cell i,
     # which is 1. Either way m = 1 + degree(f) is the degree of a[:i], which is
@@ -153,7 +163,7 @@ def _successor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization |
 
 def successor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     """Adjacent successor of ``a`` in L_n."""
-    return _successor_parts(require_member(a, "L", n), n)[0]
+    return _successor_parts(a, n, _require_ln(a, n))[0]
 
 
 def successor_is_direct(a: AlphaSeq, n: int) -> bool:
@@ -162,7 +172,7 @@ def successor_is_direct(a: AlphaSeq, n: int) -> bool:
     Equivalently, the degree class of the meet does not divide n; for prime
     n this holds everywhere below the maximum.
     """
-    return _successor_parts(require_member(a, "L", n), n)[1] is None
+    return _successor_parts(a, n, _require_ln(a, n))[1] is None
 
 
 def _harmonics_below(g: AlphaSeq, d: int) -> list[AlphaSeq]:
@@ -185,11 +195,11 @@ def successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     d = n // m = 2**k (2t+1): h_0(f), ..., h_k(f) when t > 0, and h_0(f),
     ..., h_(k-1)(f) when t = 0, where h_k(f) is that star product itself.
     """
-    return _successor_dn(require_member(a, "L", n), n)
+    return _successor_dn(a, n, _require_ln(a, n))
 
 
-def _successor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
-    succ, fac = _successor_parts(a, n)
+def _successor_dn(a: AlphaSeq, n: int, table: list | None = None) -> list[AlphaSeq]:
+    succ, fac = _successor_parts(a, n, table)
     if fac is None:
         return [succ]
     return _harmonics_below(fac.g, fac.d) + [succ]
@@ -205,22 +215,21 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     factorization is reported only for the least element of L_n, and only when
     nothing else matches.
     """
-    return _star_factorize(require_member(a, "L", n), n)
+    return _star_factorize(a, n, _require_ln(a, n))
 
 
-def _star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
-    # The class m = 1 + degree(g) must be a proper divisor of n, so m <= n // 2.
-    # A suffix g = a[j:] has m = n - p, with p the degree of a[:j], so a running
-    # p tests the class before the suffix is sliced.
+def _star_factorize(a: AlphaSeq, n: int, table: list | None = None) -> StarFactorization | None:
+    # a starts with extend_odd(g), which keeps g but its last cell, so a suffix g = a[j:]
+    # has its window in a's head table end at len(a) - 1 or later. Its class m must be a
+    # proper divisor of n, so m <= n // 2, and is n less a running prefix degree p.
     candidates = []
     if a:
-        head, half = a[0], n // 2
+        head, half, last = a[0], n // 2, len(a) - 1
         j = p = 0
-        for _ in range(a.count(head) - 1):
-            k = a.index(head, j + 1)
+        for k, e in _head_table(a) if table is None else table:
             p += sum(a[j:k])
             j, m = k, n - p
-            if m <= half and n % m == 0:
+            if e >= last and m <= half and n % m == 0:
                 candidates.append((a[j:], m))
         if head >= 2 and a[-1] == head - 1 and head <= half and n % head == 0:
             candidates.append(((head - 1,), head))
@@ -228,10 +237,9 @@ def _star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     # candidate's one cell is below every suffix's first cell. So the first
     # candidate that verifies has the largest (m, len(g)).
     for g, m in candidates:
+        # a that starts so makes g lexical, as a is: g's heads sit in a with the same windows
         head_block = extend_odd(g)
-        if a[: len(head_block)] != head_block:
-            continue
-        if not is_lexical(g) or not is_fundamental(g):
+        if a[: len(head_block)] != head_block or not is_fundamental(g):
             continue
         d = n // m
         lam = least_element(d)
@@ -252,11 +260,13 @@ def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
     extend_odd(tau)^(2s) + tau with tau = h_k(f); otherwise it is the adjacent
     predecessor of g inside L_m, reached by a single positive-cell rewrite.
     """
-    return _predecessor_tail(require_member(g, "L", m), m)
+    return _predecessor_tail(g, m, _require_ln(g, m))
 
 
-def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
-    fac = _star_factorize(g, m)
+def _predecessor_tail(g: AlphaSeq, m: int, table: list | None = None) -> AlphaSeq:
+    if table is None:  # the star search and the scan share one
+        table = _head_table(g) if g.count(g[0]) > 1 else []
+    fac = _star_factorize(g, m, table)
     if fac is not None:
         k, s = two_adic_split(fac.d)
         if s > 0:
@@ -264,13 +274,13 @@ def _predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
             return power(extend_odd(tau), 2 * s) + tau
     # positive cells, right to left; a first cell of value 1 has no left neighbour
     stop = 1 if g[:1] == (1,) else 0
-    found = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, stop)
+    found = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, stop, 0, table)
     if found is None:
         raise NoDecomposition(f"{format_sequence(g)} admits neither structural form in class {m}")
     return found[0]
 
 
-def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization | None]:
+def _predecessor_parts(a: AlphaSeq, n: int, table: list | None = None) -> tuple[AlphaSeq, StarFactorization | None]:
     """Adjacent predecessor of a member of L_n and the star factorization it was read from."""
     # L_1 holds only the zero sequence. No least element has a cell above 2, and
     # a[0] is the largest cell of a lexical a, so least_element(n) is rarely built.
@@ -281,18 +291,21 @@ def _predecessor_parts(a: AlphaSeq, n: int) -> tuple[AlphaSeq, StarFactorization
     # above. Only a star product has no lexical rewrite, so the star search waits
     # for the first probe whose test fails, and a star product pays for one; a
     # member that does not factor goes on with the scan.
-    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, n)
+    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, n, table)
     if found is None:  # no lexical probe and no failed test: a star product
-        found = _star_factorize(a, n)
+        found = _star_factorize(a, n, table)
     if isinstance(found, StarFactorization):
-        # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m
-        return power(extend_even(found.g), found.d - 1) + _predecessor_tail(found.g, found.m), found
+        # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m. g ends
+        # a, which starts with g but its last cell, so g's heads keep their windows in a's table
+        g, s = found.g, len(a) - len(found.g)
+        tail_table = None if table is None else [(j - s, e - s) for j, e in table if j > s]
+        return power(extend_even(g), found.d - 1) + _predecessor_tail(g, found.m, tail_table), found
     return found[0], None
 
 
 def predecessor_ln(a: AlphaSeq, n: int) -> AlphaSeq:
     """Adjacent predecessor of ``a`` in L_n."""
-    return _predecessor_parts(require_member(a, "L", n), n)[0]
+    return _predecessor_parts(a, n, _require_ln(a, n))[0]
 
 
 def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
@@ -304,11 +317,11 @@ def predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
     L_n predecessor, the highest first. Otherwise the burst is the L_n
     predecessor alone.
     """
-    return _predecessor_dn(require_member(a, "L", n), n)
+    return _predecessor_dn(a, n, _require_ln(a, n))
 
 
-def _predecessor_dn(a: AlphaSeq, n: int) -> list[AlphaSeq]:
-    pred, fac = _predecessor_parts(a, n)
+def _predecessor_dn(a: AlphaSeq, n: int, table: list | None = None) -> list[AlphaSeq]:
+    pred, fac = _predecessor_parts(a, n, table)
     if fac is None:
         return [pred]
     return _harmonics_below(fac.g, fac.d)[::-1] + [pred]

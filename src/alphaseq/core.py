@@ -7,9 +7,9 @@ through their alternating-sign view (first element positive, second negated,
 and so on, padded with zeros), compared at the first differing position.
 Everything here is a pure function over immutable tuples.
 
-Every test of a sequence against the suffixes at its heads, the cells equal
-to its first, lives here: ``is_lexical``, and the head table
-(``_head_windows``, ``_above_heads``) that the probes of one L_n step share.
+Every test of a sequence against the suffixes at its heads, the cells equal to its
+first, lives here: ``_head_table``, which decides ``is_lexical`` and which one L_n
+step's input check, probes and star search share, and ``_above_heads``.
 """
 
 from __future__ import annotations
@@ -69,21 +69,9 @@ def is_lexical(a: AlphaSeq) -> bool:
 
     Sequences of length at most one are lexical, the zero sequence included.
     """
-    if len(a) < 2:
-        return True
-    # The first cell of the alternating-sign view counts positive, so a suffix
-    # starting below a[0] is below a and one starting above is above it: any
-    # larger later cell fails, and only the suffixes starting with a cell equal
-    # to a[0] need a test.
-    head = a[0]
-    if max(a) > head:
-        return False
-    j = 0
-    for _ in range(a.count(head) - 1):
-        j = a.index(head, j + 1)
-        if not _above_suffix(a, j):
-            return False
-    return True
+    # The first cell of the view counts positive, so a suffix starting below a[0] is below
+    # a and one above it above: a larger later cell fails, and only the heads need a test.
+    return len(a) < 2 or (max(a) <= a[0] and _head_table(a) is not None)
 
 
 def _above_suffix(a: AlphaSeq, j: int, t: int = 0) -> bool:
@@ -103,49 +91,47 @@ def _above_suffix(a: AlphaSeq, j: int, t: int = 0) -> bool:
     return not k & 1
 
 
-def _head_windows(a: AlphaSeq, r: int, heads: int) -> list[tuple[int, int]]:
-    """(j, j + lcp(a, a[j:])) for each head j of ``a`` with 0 < j < r, ascending.
-
-    ``heads`` is ``a.count(a[0])``. A head's window ends where ``a`` and
-    ``a[j:]`` first differ, or at ``len(a)`` when ``a[j:]`` runs out first.
+def _head_table(a: AlphaSeq) -> list[tuple[int, int]] | None:
+    """(j, j + lcp(a, a[j:])) for each head j > 0 of a non-empty ``a``, ascending, or
+    None at the first head whose suffix is not below ``a``: its window's end decides as
+    in ``_above_suffix``, by the cell there or, at ``len(a)``, by the suffix's length.
     """
     head, k = a[0], len(a)
     out = []
     j = 0
-    for _ in range(heads - 1):
+    for _ in range(a.count(head) - 1):
         j = a.index(head, j + 1)
-        if j >= r:
-            break
-        e = j
+        e = j + 1
         while e < k and a[e - j] == a[e]:
             e += 1
+        t = e - j
+        if e < k:
+            if (a[t] > a[e]) == (t & 1):
+                return None
+        elif t & 1:
+            return None
         out.append((j, e))
     return out
 
 
-def _above_heads(cand: AlphaSeq, r: int, windows: list[tuple[int, int]], cand_heads: int) -> bool:
-    """True if ``cand``, a probe with rewrite index ``r`` and ``cand_heads`` heads,
-    is above the suffix at each of its heads, given the ``windows`` of its input.
+def _above_heads(cand: AlphaSeq, r: int, table: list[tuple[int, int]], shift: int) -> bool:
+    """True if ``cand``, a probe with rewrite index ``r`` > 0, is above the suffix at
+    each of its heads, given the head ``table`` of its lexical input ``a``.
 
-    A head j < r whose window ends before r meets its first difference inside
-    the kept cells, exactly as in the lexical input, so it stays below. One
-    whose window reaches r agrees with the probe up to r and is tested from
-    there; the heads from r on are tested whole.
+    ``cand`` keeps the cells of ``a`` before r, and those past the rewrite sit ``shift``
+    (1 for a split, -1 for a merge) places later. A head j < r whose window ends
+    before r, or a head j > r, at j + shift, whose window is shorter than r, meets its
+    first difference inside the kept cells, as in ``a``, and stays below; any other
+    agrees with the probe up to r and is tested from there. A head at r is gone,
+    unless a merge raised cell r to ``a[0]``: that one is new, and is tested whole.
     """
-    before = 1
-    for j, e in windows:
-        if j >= r:
-            break
-        before += 1
-        if e >= r and not _above_suffix(cand, j, r - j):
+    for j, e in table:
+        if j < r:
+            if e >= r and not _above_suffix(cand, j, r - j):
+                return False
+        elif j > r and e - j >= r and not _above_suffix(cand, j + shift, r):
             return False
-    head = cand[0]
-    j = r - 1
-    for _ in range(cand_heads - before):
-        j = cand.index(head, j + 1)
-        if not _above_suffix(cand, j):
-            return False
-    return True
+    return cand[r] != cand[0] or _above_suffix(cand, r)
 
 
 def meet(a: AlphaSeq, b: AlphaSeq) -> AlphaSeq:

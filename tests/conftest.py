@@ -47,13 +47,13 @@ def head_repeating_members(draw):
 @pytest.fixture
 def step_events(monkeypatch):
     """The list to which the steps' lexicality work is appended, in order, through the
-    module globals they read: "test" for each suffix test (``core._above_suffix``, which
-    ``is_lexical`` and ``_above_heads`` call, and the compare in adjacency), "table" for
-    each head table, "probe" for each probe's test (``is_lexical``, ``_above_heads`` or
-    the compare in adjacency) and "star" for each star search. The star search reads the
-    same ``is_lexical`` binding as the scan, so its own ``is_lexical(g)`` calls are
-    recorded as "probe" after its "star". The public entries' input check calls
-    ``is_lexical`` in core, so its suffix tests are recorded and its call is not."""
+    module globals they read: "test" for each suffix test the probes make
+    (``core._above_suffix``, which ``_above_heads`` calls, and the compare in adjacency),
+    "table" for each head table adjacency builds (its binding of ``core._head_table``: the
+    public entries' input check, the scan and the star search), "probe" for each probe's
+    test (``is_lexical``, ``_above_heads`` or the compare in adjacency) and "star" for each
+    star search. ``is_lexical`` calls core's own binding of ``_head_table``, so its heads
+    are neither "test" nor "table": a probe sent to it is one "probe"."""
     events = []
 
     def recorded(names, fn):
@@ -68,7 +68,7 @@ def step_events(monkeypatch):
         (adjacency, "compare", ("probe", "test")),
         (adjacency, "is_lexical", ("probe",)),
         (adjacency, "_above_heads", ("probe",)),
-        (adjacency, "_head_windows", ("table",)),
+        (adjacency, "_head_table", ("table",)),
         (adjacency, "_star_factorize", ("star",)),
     ):
         monkeypatch.setattr(module, attr, recorded(names, getattr(module, attr)))

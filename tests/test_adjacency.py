@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 
 from alphaseq import adjacency
 from alphaseq.adjacency import (
@@ -7,7 +7,9 @@ from alphaseq.adjacency import (
     _first_lexical_rewrite,
     _predecessor_dn,
     _predecessor_parts,
+    _require_ln,
     _star_factorize,
+    _successor_dn,
     _successor_parts,
     predecessor_dn,
     predecessor_ln,
@@ -21,10 +23,12 @@ from alphaseq.cells import lexical_predecessor_candidate, lexical_successor_cand
 from alphaseq.core import (
     LESS,
     ZERO,
+    _head_table,
     compare,
     degree,
     extend_even,
     extend_odd,
+    format_sequence,
     harmonic,
     is_fundamental,
     is_lexical,
@@ -39,7 +43,7 @@ from alphaseq.enumeration import enumerate_ln, enumerate_ln_descending
 from alphaseq.errors import InvalidN, Maximal, Minimal, NoCandidate, NoDecomposition, NotInSet
 from alphaseq.oracle import oracle_ln
 
-from conftest import head_repeating_members
+from conftest import head_repeating_members, sequences_up_to_degree
 
 
 def test_successor_ln_examples():
@@ -416,18 +420,68 @@ def test_member_scan_matches_the_candidate_scans():
     # on members it returns what the public scans return, and None where they raise.
     # The step bodies unpack its result unchecked, so it must find a rewrite up from
     # every member of length >= 2, and down from every member of L_n, n >= 2, that
-    # _star_factorize does not factor (the zero sequence is L_1's only member)
+    # _star_factorize does not factor (the zero sequence is L_1's only member). Each
+    # scan runs with no table, as in the walks, and with the head table of a, as
+    # the public entries pass it
     seen = 0
     for a in _members_with_known_answers():
-        succ = _first_lexical_rewrite(a, len(a) - len(a) % 2, 1)
-        assert succ == _result_or_none(lexical_successor_candidate, a), a
-        assert succ is not None or len(a) < 2, a
-        stop = 1 if a[:1] == (1,) else 0
-        pred = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, stop)
-        assert pred == _result_or_none(lexical_predecessor_candidate, a), a
-        assert pred is not None or not a or _star_factorize(a, degree(a) + 1) is not None, a
+        for table in (None, _head_table(a)) if a else (None,):
+            succ = _first_lexical_rewrite(a, len(a) - len(a) % 2, 1, 0, table)
+            assert succ == _result_or_none(lexical_successor_candidate, a), a
+            assert succ is not None or len(a) < 2, a
+            stop = 1 if a[:1] == (1,) else 0
+            pred = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, stop, 0, table)
+            assert pred == _result_or_none(lexical_predecessor_candidate, a), a
+            assert pred is not None or not a or _star_factorize(a, degree(a) + 1) is not None, a
         seen += len(a) > 1 and a.count(a[0]) > 1
     assert seen > 1000
+
+
+def test_public_check_agrees_with_is_member():
+    # the seven public entries validate with one check, which returns the head table
+    # of a member of L_n for the step to read and raises what require_member raises
+    for a in sequences_up_to_degree(12):
+        for n in range(1, 15):
+            if is_member(a, "L", n):
+                assert _require_ln(a, n) == (_head_table(a) if a else []), (a, n)
+            else:
+                with pytest.raises(NotInSet) as exc:
+                    _require_ln(a, n)
+                assert str(exc.value) == f"{format_sequence(a)} is not a member of L_{n}"
+    # cells 0 and -1 are no cells of a composition, though the degree and a[0] fit
+    for a in ((2, 0), (3, 0, 1), (2, -1, 2), (4, 1, -1, 1)):
+        assert not is_member(a, "L", degree(a) + 1)
+        with pytest.raises(NotInSet):
+            _require_ln(a, degree(a) + 1)
+    for n in (0, -3):
+        for a in ((4, 2, 1), ZERO):
+            with pytest.raises(InvalidN):
+                _require_ln(a, n)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head_repeating_members())
+def test_public_step_tests_each_head_once(step_events, member):
+    # the input check builds the head table of a and the step reads it, so a public
+    # step builds one table and makes no more suffix tests or probe tests than the
+    # walks' body, which takes no table and builds one at the first probe that needs it
+    a, n = member
+    for public, body in (
+        (successor_ln, _successor_parts),
+        (predecessor_ln, _predecessor_parts),
+        (successor_dn, _successor_dn),
+    ):
+        counts = []
+        for step in (public, body):
+            step_events.clear()
+            try:
+                step(a, n)
+            except (Maximal, Minimal):
+                pass
+            counts.append(tuple(map(step_events.count, ("table", "test", "probe"))))
+        (tables, *work), (_, *body_work) = counts
+        assert tables == 1, (public.__name__, a, counts)
+        assert all(w <= b for w, b in zip(work, body_work)), (public.__name__, a, counts)
 
 
 def test_halted_scan_resumes_where_it_stopped(monkeypatch):
@@ -437,9 +491,9 @@ def test_halted_scan_resumes_where_it_stopped(monkeypatch):
     # tested but a merge that lifts its cell past a[0]
     calls = []
 
-    def search(a, n):
+    def search(a, n, table):
         calls.append((a, n))
-        return _star_factorize(a, n)
+        return _star_factorize(a, n, table)
 
     monkeypatch.setattr(adjacency, "_star_factorize", search)
     halted = factored = 0

@@ -174,10 +174,8 @@ def test_walks_do_not_revalidate(monkeypatch):
     # a walk's start is the least element or the maximum and every later
     # input is its own output, so only the public step entries validate
     calls = []
-    require_member = adjacency.require_member
-    monkeypatch.setattr(
-        adjacency, "require_member", lambda a, kind, n: calls.append(a) or require_member(a, kind, n)
-    )
+    require_ln = adjacency._require_ln
+    monkeypatch.setattr(adjacency, "_require_ln", lambda a, n: calls.append(a) or require_ln(a, n))
     assert list(enumerate_ln(12)) == oracle_ln(12)
     assert list(enumerate_ln_descending(12)) == oracle_ln(12)[::-1]
     assert list(enumerate_dn(12)) == oracle_dn(12)
@@ -197,14 +195,14 @@ def test_walks_do_not_revalidate(monkeypatch):
         calls.clear()
 
 
-# Lexicality work per element of the walk's output: (suffix tests, head tables, star
-# searches), each the larger of the figures measured for n = 16 and n = 20. A walk may
-# spend up to a quarter more before the gate fails; ascending L_n never searches for a
-# star factorization.
+# Lexicality work per element of the walk's output: (the probes' suffix tests, head
+# tables, star searches), each the larger of the figures measured for n = 16 and n = 20,
+# rounded up. A walk may spend up to a quarter more before the gate fails; ascending L_n
+# never searches for a star factorization.
 WALK_COSTS = {
-    enumerate_ln: (0.285, 0.206, 0),
-    enumerate_ln_descending: (0.288, 0.207, 0.090),
-    enumerate_dn_descending: (0.285, 0.206, 0.089),
+    enumerate_ln: (0.238, 0.206, 0),
+    enumerate_ln_descending: (0.240, 0.207, 0.090),
+    enumerate_dn_descending: (0.237, 0.207, 0.089),
 }
 HEADROOM = 1.25
 
@@ -213,7 +211,7 @@ HEADROOM = 1.25
 @pytest.mark.parametrize("walk", list(WALK_COSTS), ids=lambda walk: walk.__name__)
 def test_walks_keep_their_counted_cost(step_events, walk, n):
     # the work is counted through the module globals the walks read, as the steps
-    # make it: each suffix test, whether is_lexical or a probe's head check makes it
+    # make it: each suffix test a probe's head check or compare makes, and each table
     elements = sum(1 for _ in walk(n))
     spent = tuple(step_events.count(event) / elements for event in ("test", "table", "star"))
     bounds = tuple(HEADROOM * cost for cost in WALK_COSTS[walk])

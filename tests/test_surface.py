@@ -84,7 +84,8 @@ def test_each_concern_lives_in_its_own_module():
     assert "cells" not in _relative_imports("adjacency")
     assert not any(n.startswith("_") for n in _relative_imports("cells")["core"])
     defined = {node.name for node in _module_body("core") if isinstance(node, ast.FunctionDef)}
-    assert {"_head_windows", "_above_heads", "_above_suffix"} <= defined
+    assert {"_head_table", "_above_heads", "_above_suffix"} <= defined
+    assert "_head_windows" not in defined
 
 
 def test_cli_import_stays_light():
