@@ -22,11 +22,10 @@ star(f, least_element(d)), and only _harmonics_below says which they are.
 Both steps probe with _first_lexical_rewrite, here with the star search it
 runs; it tests its probes with core's head table and uses nothing of cells.
 
-Each public entry validates its input as a member of L_n once, with
-``_require_ln``, whose lexicality test builds the input's head table, and
-hands the table to a private body that assumes a member: its probes and star
-search read it. The walks call the bodies with no table, since every step
-yields a member of L_n, and the scan builds one at the first probe needing it.
+Each public entry validates its input once, with ``_require_ln`` (core's L_n
+membership rule), and hands its head table to a private body that assumes a
+member and whose probes and star search read it. The walks pass no table: each step
+yields a member of L_n, and the scan builds one at the first probe that needs it.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .core import (
     ZERO,
     _above_heads,
     _head_table,
+    _ln_head_table,
     compare,
     extend_even,
     extend_odd,
@@ -51,7 +51,7 @@ from .core import (
     star,
     two_adic_split,
 )
-from .errors import Maximal, Minimal, NoDecomposition, NotInSet, check_n
+from .errors import Maximal, Minimal, NoDecomposition, NotInSet
 
 
 class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
@@ -131,10 +131,7 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0, table
 
 def _require_ln(a: AlphaSeq, n: int) -> list:
     """``core.require_member(a, "L", n)``, returning the head table of ``a`` for the step."""
-    check_n(n)
-    table = [] if not a and n == 1 else None
-    if a and min(a) >= 1 and sum(a) + 1 == n and max(a) <= a[0]:
-        table = _head_table(a)
+    table = _ln_head_table(a, n)
     if table is None:
         raise NotInSet(f"{format_sequence(a)} is not a member of L_{n}")
     return table
@@ -264,8 +261,7 @@ def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
 
 
 def _predecessor_tail(g: AlphaSeq, m: int, table: list | None = None) -> AlphaSeq:
-    if table is None:  # the star search and the scan share one
-        table = _head_table(g) if g.count(g[0]) > 1 else []
+    table = _head_table(g) if table is None else table  # the star search and the scan share one
     fac = _star_factorize(g, m, table)
     if fac is not None:
         k, s = two_adic_split(fac.d)

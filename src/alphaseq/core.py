@@ -8,8 +8,8 @@ and so on, padded with zeros), compared at the first differing position.
 Everything here is a pure function over immutable tuples.
 
 Every test of a sequence against the suffixes at its heads, the cells equal to its
-first, lives here: ``_head_table``, which decides ``is_lexical`` and which one L_n
-step's input check, probes and star search share, and ``_above_heads``.
+first, lives here: ``_head_table``, which decides ``is_lexical`` and L_n membership
+and which one L_n step's input check, probes and star search share, and ``_above_heads``.
 """
 
 from __future__ import annotations
@@ -105,10 +105,7 @@ def _head_table(a: AlphaSeq) -> list[tuple[int, int]] | None:
         while e < k and a[e - j] == a[e]:
             e += 1
         t = e - j
-        if e < k:
-            if (a[t] > a[e]) == (t & 1):
-                return None
-        elif t & 1:
+        if (e == k or a[t] > a[e]) == (t & 1):  # a suffix that runs out reads 0 at e
             return None
         out.append((j, e))
     return out
@@ -242,19 +239,26 @@ def least_element(n: int) -> AlphaSeq:
     return star(base, (2,) + (1,) * (2 * (s - 1)))
 
 
+def _ln_head_table(a: AlphaSeq, n: int) -> list[tuple[int, int]] | None:
+    """The :func:`_head_table` of ``a`` if it is in L_n, else None; InvalidN for n < 1."""
+    check_n(n)
+    if a and min(a) >= 1 and sum(a) + 1 == n and max(a) <= a[0]:  # cheapest first
+        return _head_table(a)
+    return [] if not a and n == 1 else None  # the zero sequence is L_1's only member
+
+
 def is_member(a: AlphaSeq, kind: str, n: int) -> bool:
     """True if ``a`` is in A_n (compositions of n), L_n (lexical, 1 + degree = n)
     or D_n (lexical, 1 + degree dividing n) for ``kind`` "A", "L" or "D".
     Raises InvalidN for n < 1 and ValueError for any other kind."""
+    if kind == "L":
+        return _ln_head_table(a, n) is not None
     check_n(n)
-    if a and min(a) < 1:  # cheapest first: the cells, the degree, lexicality
-        return False
-    d = degree(a)
-    if kind == "A":
-        return d == n  # the zero sequence has degree 0 < n
-    if kind not in ("L", "D"):
+    if kind not in ("A", "D"):
         raise ValueError(f"kind must be A, L or D, got {kind!r}")
-    return (d + 1 == n if kind == "L" else n % (d + 1) == 0) and is_lexical(a)
+    if a and min(a) < 1:
+        return False
+    return degree(a) == n if kind == "A" else n % (degree(a) + 1) == 0 and is_lexical(a)
 
 
 def require_member(a: AlphaSeq, kind: str, n: int) -> AlphaSeq:

@@ -47,27 +47,31 @@ def head_repeating_members(draw):
 @pytest.fixture
 def step_events(monkeypatch):
     """The list to which the steps' lexicality work is appended, in order, through the
-    module globals they read: "test" for each suffix test the probes make
-    (``core._above_suffix``, which ``_above_heads`` calls, and the compare in adjacency),
-    "table" for each head table adjacency builds (its binding of ``core._head_table``: the
-    public entries' input check, the scan and the star search), "probe" for each probe's
-    test (``is_lexical``, ``_above_heads`` or the compare in adjacency) and "star" for each
-    star search. ``is_lexical`` calls core's own binding of ``_head_table``, so its heads
-    are neither "test" nor "table": a probe sent to it is one "probe"."""
+    module globals they read: "test" for each suffix test a probe makes
+    (``core._above_suffix``, which ``_above_heads`` calls, the compare in adjacency, and
+    one per head but the first of each sequence adjacency hands to ``is_lexical``),
+    "table" for each head table adjacency builds or asks for (``_require_ln``, the public
+    entries' input check, and adjacency's binding of ``core._head_table``: the scan and
+    the star search), "probe" for each probe's test (``is_lexical``, ``_above_heads`` or
+    the compare in adjacency) and "star" for each star search."""
     events = []
 
     def recorded(names, fn):
         def wrapper(*args):
-            events.extend(names)
+            events.extend(names(*args) if callable(names) else names)
             return fn(*args)
 
         return wrapper
 
+    def lexicality_test(a):
+        return ("probe",) + ("test",) * (a.count(a[0]) - 1)
+
     for module, attr, names in (
         (core, "_above_suffix", ("test",)),
         (adjacency, "compare", ("probe", "test")),
-        (adjacency, "is_lexical", ("probe",)),
+        (adjacency, "is_lexical", lexicality_test),
         (adjacency, "_above_heads", ("probe",)),
+        (adjacency, "_require_ln", ("table",)),
         (adjacency, "_head_table", ("table",)),
         (adjacency, "_star_factorize", ("star",)),
     ):

@@ -200,11 +200,15 @@ def test_walks_do_not_revalidate(monkeypatch):
 # rounded up. A walk may spend up to a quarter more before the gate fails; ascending L_n
 # never searches for a star factorization.
 WALK_COSTS = {
-    enumerate_ln: (0.238, 0.206, 0),
-    enumerate_ln_descending: (0.240, 0.207, 0.090),
-    enumerate_dn_descending: (0.237, 0.207, 0.089),
+    enumerate_ln: (0.240, 0.206, 0),
+    enumerate_ln_descending: (0.247, 0.207, 0.090),
+    enumerate_dn_descending: (0.244, 0.206, 0.089),
 }
 HEADROOM = 1.25
+# The probes' suffix tests per element at n = 20, with no headroom: each walk makes
+# 0.186, rounded up here. A probe that tests whole every head past its rewrite index r,
+# and not only, from r, those whose window reaches r, makes 0.223 to 0.226.
+SUFFIX_TESTS_AT_20 = 0.187
 
 
 @pytest.mark.parametrize("n", [16, 20])
@@ -216,6 +220,7 @@ def test_walks_keep_their_counted_cost(step_events, walk, n):
     spent = tuple(step_events.count(event) / elements for event in ("test", "table", "star"))
     bounds = tuple(HEADROOM * cost for cost in WALK_COSTS[walk])
     assert all(s <= b for s, b in zip(spent, bounds)), (spent, bounds)
+    assert n != 20 or spent[0] <= SUFFIX_TESTS_AT_20, spent
 
 
 def test_streams_are_lazy():
