@@ -8,8 +8,10 @@ x n in {0, 1, 2, 3, 6, 8, 12, 16, 18, 31}; n = 0, n = 31 and --limit -1 are
 the error exits. ``verify`` runs over [1, 1], [1, 8], [1, 14], [12, 12] and
 [15, 16], and over the error exits [0, 3], [5, 4] and [1, 21]. Then come the
 error exits of the step and algebra commands and of argument parsing (``ERRORS``),
-two of them on a 4300-digit cell (shown shortened). Then, with ALPHASEQ_ENUM_CAP
-raised to 100 in this process, come listings whose cells run to 99 (``RAISED_CAP``).
+two of them on a 4300-digit cell (shown shortened); among the step exits are
+non-members of L_n that fail its degree, its first-cell bound and only its heads'
+suffix tests. Then, with ALPHASEQ_ENUM_CAP raised to 100 in this process, come
+listings whose cells run to 99 (``RAISED_CAP``).
 Last come the domain-error exits of a cap spelled as no integer argument is,
 one per cap variable. Each environment group is set for its own commands only.
 Each digest covers the exit code, stderr and stdout of one in-process run of
@@ -51,6 +53,8 @@ ERRORS = [
     ["list", "--set", "ln", "1_0"], ["list", "--set", "ln", "+6"], ["list", "--set", "ln", "\u0661\u0662"],
     ["list", "--set", "ln", "5", "--limit", "1_0"], ["list", "--set", "ln", "5", "--limit", "+3"],
     ["verify", "\u0661", "2"], ["harmonic", "+1", "2,1"], ["least", "1_0"], ["succ", "--set", "ln", "+7", "6"],
+    ["succ", "--set", "ln", "6", "2,1"], ["pred", "--set", "dn", "6", "3,1"],
+    ["succ", "--set", "ln", "6", "2,1,2"], ["pred", "--set", "dn", "6", "2,1,2"],
 ]
 COMMANDS = [
     *(["list", "--set", set_name, str(n), *desc, "--format", fmt, *limit]

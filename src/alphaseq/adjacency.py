@@ -93,7 +93,7 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0, table
     the scan and is returned, and None lets the scan go on with the same table.
     """
     head = a[0] if a else 0
-    heads = a.count(head)
+    heads = a.count(head) if table is None else len(table) + 1
     for i in range(start, stop, -2):
         v = a[i - 1]
         if v >= 2:
@@ -133,7 +133,7 @@ def _require_ln(a: AlphaSeq, n: int) -> list:
     """``core.require_member(a, "L", n)``, returning the head table of ``a`` for the step."""
     table = _ln_head_table(a, n)
     if table is None:
-        raise NotInSet(f"{format_sequence(a)} is not a member of L_{n}")
+        raise NotInSet(a, "L", n)
     return table
 
 
@@ -218,16 +218,18 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
 def _star_factorize(a: AlphaSeq, n: int, table: list | None = None) -> StarFactorization | None:
     # a starts with extend_odd(g), which keeps g but its last cell, so a suffix g = a[j:]
     # has its window in a's head table end at len(a) - 1 or later. Its class m must be a
-    # proper divisor of n, so m <= n // 2, and is n less a running prefix degree p.
+    # proper divisor of n, so m <= n // 2, and is n less p, the degree of a[:j], summed
+    # up only at the heads whose window passes.
     candidates = []
     if a:
         head, half, last = a[0], n // 2, len(a) - 1
         j = p = 0
         for k, e in _head_table(a) if table is None else table:
-            p += sum(a[j:k])
-            j, m = k, n - p
-            if e >= last and m <= half and n % m == 0:
-                candidates.append((a[j:], m))
+            if e >= last:
+                p += sum(a[j:k])
+                j, m = k, n - p
+                if m <= half and n % m == 0:
+                    candidates.append((a[j:], m))
         if head >= 2 and a[-1] == head - 1 and head <= half and n % head == 0:
             candidates.append(((head - 1,), head))
     # Classes fall along the list: each suffix holds the next one, and the last

@@ -241,10 +241,16 @@ def least_element(n: int) -> AlphaSeq:
 
 def _ln_head_table(a: AlphaSeq, n: int) -> list[tuple[int, int]] | None:
     """The :func:`_head_table` of ``a`` if it is in L_n, else None; InvalidN for n < 1."""
-    check_n(n)
-    if a and min(a) >= 1 and sum(a) + 1 == n and max(a) <= a[0]:  # cheapest first
-        return _head_table(a)
-    return [] if not a and n == 1 else None  # the zero sequence is L_1's only member
+    if n < 1:
+        check_n(n)
+    # the test that rejects soonest first: the degree, which a sequence of another
+    # class fails; then a later cell above the first, which fails most compositions
+    # of the right degree; and last the cells below 1, which no parsed text has
+    if sum(a) + 1 != n:
+        return None
+    if not a:
+        return []  # the zero sequence is L_1's only member
+    return _head_table(a) if max(a) <= a[0] and min(a) >= 1 else None
 
 
 def is_member(a: AlphaSeq, kind: str, n: int) -> bool:
@@ -264,7 +270,7 @@ def is_member(a: AlphaSeq, kind: str, n: int) -> bool:
 def require_member(a: AlphaSeq, kind: str, n: int) -> AlphaSeq:
     """``a`` itself if :func:`is_member` holds; raises NotInSet otherwise."""
     if not is_member(a, kind, n):
-        raise NotInSet(f"{format_sequence(a)} is not a member of {kind}_{n}")
+        raise NotInSet(a, kind, n)
     return a
 
 

@@ -3,7 +3,14 @@
 Index errors on cell positions use the builtin ``IndexError``; everything
 else derives from :class:`AlphaSequenceError` so callers (and the CLI) can
 catch domain failures in one place.
+
+:class:`NotInSet` formats its message on demand: the membership checks raise
+``NotInSet(a, kind, n)``, which keeps the sequence and its set, and the cells
+are printed only when the message is read. Most rejections are caught and
+never read, and printing them would cost more than the membership test.
 """
+
+import sys
 
 
 class AlphaSequenceError(Exception):
@@ -39,7 +46,28 @@ class NoDecomposition(AlphaSequenceError):
 
 
 class NotInSet(AlphaSequenceError):
-    """The sequence is not a member of the set the operation targets."""
+    """The sequence is not a member of the set the operation targets.
+
+    Raised with a message, or as ``NotInSet(a, kind, n)``, which reads "<a> is not a
+    member of <kind>_<n>" and builds that text only when read; a cell or an n too long
+    to print is named by the interpreter's digit limit instead.
+    """
+
+    def __str__(self) -> str:
+        if len(self.args) != 3:
+            return super().__str__()
+        from .core import format_sequence  # core imports this module
+
+        a, kind, n = self.args
+        limit = sys.get_int_max_str_digits()
+        try:
+            text = format_sequence(a)
+        except AlphaSequenceError:
+            text = f"a sequence with a cell of more than {limit} digits"
+        try:
+            return f"{text} is not a member of {kind}_{n}"
+        except ValueError:
+            return f"{text} is not a member of {kind}_n, an n of more than {limit} digits"
 
 
 class InvalidN(AlphaSequenceError):

@@ -1,7 +1,11 @@
+import copy
+import pickle
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from alphaseq import adjacency
+from alphaseq import adjacency, core
 from alphaseq.adjacency import (
     StarFactorization,
     _first_lexical_rewrite,
@@ -36,6 +40,7 @@ from alphaseq.core import (
     least_element,
     meet,
     power,
+    require_member,
     star,
     two_adic_split,
 )
@@ -457,6 +462,53 @@ def test_public_check_agrees_with_is_member():
         for a in ((4, 2, 1), ZERO):
             with pytest.raises(InvalidN):
                 _require_ln(a, n)
+
+
+CHECKED_STEPS = (successor_ln, predecessor_ln, successor_dn, predecessor_dn, star_factorize, predecessor_tail)
+
+
+def test_a_rejection_formats_nothing_until_its_message_is_read(monkeypatch):
+    # a caller that catches NotInSet pays for no printing: the message is built from
+    # the kept sequence and set when read, with core's format_sequence, as the same text
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return format_sequence(a)
+
+    for module in (core, adjacency):
+        monkeypatch.setattr(module, "format_sequence", counted)
+    # the wrong degree, a later cell above the first, a suffix above the sequence
+    rejected = [(step, (a, n), f"{text} is not a member of L_{n}")
+                for step in CHECKED_STEPS
+                for a, n, text in (((4, 3), 12, "4,3"), ((2, 3), 6, "2,3"), ((2, 1, 2), 6, "2,1,2"))]
+    rejected += [(require_member, ((2, 1), kind, n), f"2,1 is not a member of {kind}_{n}")
+                 for kind, n in (("A", 4), ("L", 6), ("D", 6))]
+    for step, args, message in rejected:
+        calls.clear()
+        with pytest.raises(NotInSet) as exc:
+            step(*args)
+        assert calls == [], (step.__name__, args)
+        assert str(exc.value) == message and calls == [args[0]], (step.__name__, args)
+        for twin in (pickle.loads(pickle.dumps(exc.value)), copy.copy(exc.value), copy.deepcopy(exc.value)):
+            assert type(twin) is NotInSet and str(twin) == message
+
+
+def test_a_cell_too_long_to_print_is_still_not_a_member():
+    # the message names the set and the digit limit in place of what cannot be printed
+    a, limit = (10**5000, 1), sys.get_int_max_str_digits()
+    cell = f"a sequence with a cell of more than {limit} digits is not a member of "
+    for step in CHECKED_STEPS:
+        with pytest.raises(NotInSet) as exc:
+            step(a, 3)
+        assert str(exc.value) == cell + "L_3", step.__name__
+    for kind in ("A", "L", "D"):
+        with pytest.raises(NotInSet) as exc:
+            require_member(a, kind, 3)
+        assert str(exc.value) == cell + f"{kind}_3"
+    with pytest.raises(NotInSet) as exc:
+        successor_ln((4, 3), 10**5000)
+    assert str(exc.value) == f"4,3 is not a member of L_n, an n of more than {limit} digits"
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])

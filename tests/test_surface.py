@@ -88,6 +88,12 @@ def test_each_concern_lives_in_its_own_module():
     assert "_head_windows" not in defined
 
 
+def test_errors_import_nothing_of_the_package():
+    # core raises NotInSet and NotInSet prints with core's format_sequence: that
+    # import waits inside NotInSet.__str__, so errors loads before core with no cycle
+    assert _relative_imports("errors") == {}
+
+
 def test_cli_import_stays_light():
     # every CLI process pays for what `import alphaseq.cli` loads, whatever the command
     heavy = ("dataclasses", "inspect", "typing", "json", "csv")
