@@ -8,11 +8,11 @@ reverse step inverts this. A member of L_n other than its least element has
 a lexical positive-cell rewrite exactly when it is no star product (checked
 on every member of L_2 ... L_26), so the step sets the least element apart,
 then scans the positive cells and takes the first lexical probe. Only at the
-first probe whose lexicality test fails, or when the scan ends empty, does it
-search once for a star factorization, with star_factorize. A sequence of the
-form star(g, least_element(d)) with g fundamental steps down to
-extend_even(g)^(d-1) followed by a companion tail, read off g's own star
-factorization in L_m; a member that does not factor goes on with the scan
+first probe whose lexicality test fails (a scan that reaches cell 1 tests it)
+does it search once for a star factorization, with star_factorize. A
+sequence of the form star(g, least_element(d)) with g fundamental steps down to
+extend_even(g)^(d-1) followed by a companion tail, which the same scan reads
+off g in L_m; a member that does not factor goes on with the scan
 past the rejected probe, and all its probes share one head table. That g is
 the meet f of the forward step, so both steps have one shape: the neighbour,
 and the StarFactorization(f, m, least_element(d), d) of the resonant pair, or
@@ -68,8 +68,11 @@ class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
         return self.g == ZERO
 
 
-def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0, table: list | None = None) -> object:
-    """First lexical rewrite of a lexical ``a`` at positions range(start, stop, -2).
+def _first_lexical_rewrite(a: AlphaSeq, start: int, n: int = 0, table: list | None = None) -> object:
+    """First lexical rewrite of a lexical ``a`` at cells start, start - 2, ... >= 1.
+
+    An even start scans the negative cells and an odd one the positive cells; cell 1
+    of (1,), the one member that starts with 1, has no left neighbour to merge with.
 
     Returns what the public candidate scan over the same positions returns, or
     None where that scan raises NoCandidate. ``a[0]`` is the largest cell of
@@ -94,7 +97,7 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, stop: int, n: int = 0, table
     """
     head = a[0] if a else 0
     heads = a.count(head) if table is None else len(table) + 1
-    for i in range(start, stop, -2):
+    for i in range(start, 1 if head == 1 else 0, -2):
         v = a[i - 1]
         if v >= 2:
             cand = a[: i - 1] + (v - 1, 1) + a[i:]
@@ -144,7 +147,7 @@ def _successor_parts(a: AlphaSeq, n: int, table: list | None = None) -> tuple[Al
     k = len(a)
     if k < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of L_{n}")
-    cand, i = _first_lexical_rewrite(a, k - k % 2, 1, 0, table)
+    cand, i = _first_lexical_rewrite(a, k - k % 2, 0, table)
     # the meet f of a and cand, read off the rewrite at position i: a split
     # lowers cell i by one, a conjugation raises cell i - 1 and drops cell i,
     # which is 1. Either way m = 1 + degree(f) is the degree of a[:i], which is
@@ -254,28 +257,26 @@ def _star_factorize(a: AlphaSeq, n: int, table: list | None = None) -> StarFacto
 def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
     """Companion tail of the reverse step for a star product with left factor g.
 
-    The tail is read off g's own star factorization in L_m. When
+    The reverse step's scan reads it off g in L_m: its first lexical probe, the
+    adjacent predecessor of g, or at its first rejected probe the star search. When
     g = star(f, least_element(d)) with d = 2**k (2s+1) and s > 0, the tail is
-    extend_odd(tau)^(2s) + tau with tau = h_k(f); otherwise it is the adjacent
-    predecessor of g inside L_m, reached by a single positive-cell rewrite.
+    extend_odd(tau)^(2s) + tau with tau = h_k(f).
     """
     return _predecessor_tail(g, m, _require_ln(g, m))
 
 
 def _predecessor_tail(g: AlphaSeq, m: int, table: list | None = None) -> AlphaSeq:
-    table = _head_table(g) if table is None else table  # the star search and the scan share one
-    fac = _star_factorize(g, m, table)
-    if fac is not None:
-        k, s = two_adic_split(fac.d)
+    # the reverse step's scan; a factorization with s == 0 raises too, since a
+    # star product has no lexical positive-cell rewrite
+    found = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, m, table)
+    if isinstance(found, StarFactorization):
+        k, s = two_adic_split(found.d)
         if s > 0:
-            tau = harmonic(k, fac.g)
+            tau = harmonic(k, found.g)
             return power(extend_odd(tau), 2 * s) + tau
-    # positive cells, right to left; a first cell of value 1 has no left neighbour
-    stop = 1 if g[:1] == (1,) else 0
-    found = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, stop, 0, table)
-    if found is None:
-        raise NoDecomposition(f"{format_sequence(g)} admits neither structural form in class {m}")
-    return found[0]
+    elif found is not None:
+        return found[0]
+    raise NoDecomposition(f"{format_sequence(g)} admits neither structural form in class {m}")
 
 
 def _predecessor_parts(a: AlphaSeq, n: int, table: list | None = None) -> tuple[AlphaSeq, StarFactorization | None]:
@@ -284,14 +285,11 @@ def _predecessor_parts(a: AlphaSeq, n: int, table: list | None = None) -> tuple[
     # a[0] is the largest cell of a lexical a, so least_element(n) is rarely built.
     if n == 1 or (a[0] <= 2 and a == least_element(n)):
         raise Minimal(f"{format_sequence(a)} is the minimal element of L_{n}")
-    # Positive cells, right to left, down to cell 1: the only member whose first
-    # cell is 1 and so cannot merge left is (1,), the least element of L_2, raised
-    # above. Only a star product has no lexical rewrite, so the star search waits
-    # for the first probe whose test fails, and a star product pays for one; a
-    # member that does not factor goes on with the scan.
-    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, n, table)
-    if found is None:  # no lexical probe and no failed test: a star product
-        found = _star_factorize(a, n, table)
+    # Positive cells, right to left, down to cell 1, whose probe is always tested:
+    # a[0] >= 2, since (1,), the least element of L_2, is raised above. Only a star
+    # product has no lexical rewrite, so the scan searches at its first rejected
+    # probe, and a member that does not factor goes on to a lexical probe.
+    found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, n, table)
     if isinstance(found, StarFactorization):
         # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m. g ends
         # a, which starts with g but its last cell, so g's heads keep their windows in a's table

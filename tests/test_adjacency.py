@@ -11,6 +11,7 @@ from alphaseq.adjacency import (
     _first_lexical_rewrite,
     _predecessor_dn,
     _predecessor_parts,
+    _predecessor_tail,
     _require_ln,
     _star_factorize,
     _successor_dn,
@@ -192,6 +193,34 @@ def test_predecessor_tail_matches_the_two_form_search():
                 assert predecessor_tail(g, m) == expected, (m, g)
             swept += 1
     assert swept == 4381
+
+
+def test_companion_tail_searches_only_after_a_rejected_probe(step_events):
+    # the tail runs the reverse step's scan: its star search waits for the first probe
+    # whose test fails, so a tail whose first tested probe is lexical searches not at
+    # all. The probes before the public scan's answer fail, and all are tested but a
+    # merge that lifts its cell past g[0]. Besides the fundamental g a walk meets, the
+    # sweep takes harmonics and least elements, whose factorization has an even d
+    swept = searched = 0
+    for m in range(3, 17):
+        for g in oracle_ln(m):
+            start = len(g) - 1 + len(g) % 2
+            answer = _result_or_none(lexical_predecessor_candidate, g)
+            failed = range(start, 0 if answer is None else answer[1], -2)
+            rejected = [i for i in failed if not (g[i - 1] == 1 and i > 2 and g[i - 2] >= g[0])]
+            step_events.clear()
+            try:
+                expected = _predecessor_tail_two_forms(g, m)
+            except NoDecomposition:
+                with pytest.raises(NoDecomposition):
+                    _predecessor_tail(g, m)
+            else:
+                assert _predecessor_tail(g, m) == expected, (m, g)
+            searches = step_events.count("star")
+            assert searches == bool(rejected), (m, g, step_events)
+            swept += 1
+            searched += searches
+    assert 0 < searched < swept
 
 
 def test_predecessor_tail_prefers_the_rightmost_rewrite():
@@ -431,11 +460,10 @@ def test_member_scan_matches_the_candidate_scans():
     seen = 0
     for a in _members_with_known_answers():
         for table in (None, _head_table(a)) if a else (None,):
-            succ = _first_lexical_rewrite(a, len(a) - len(a) % 2, 1, 0, table)
+            succ = _first_lexical_rewrite(a, len(a) - len(a) % 2, 0, table)
             assert succ == _result_or_none(lexical_successor_candidate, a), a
             assert succ is not None or len(a) < 2, a
-            stop = 1 if a[:1] == (1,) else 0
-            pred = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, stop, 0, table)
+            pred = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, table)
             assert pred == _result_or_none(lexical_predecessor_candidate, a), a
             assert pred is not None or not a or _star_factorize(a, degree(a) + 1) is not None, a
         seen += len(a) > 1 and a.count(a[0]) > 1
@@ -536,6 +564,17 @@ def test_public_step_tests_each_head_once(step_events, member):
         assert all(w <= b for w, b in zip(work, body_work)), (public.__name__, a, counts)
 
 
+def test_reverse_scan_given_the_class_never_ends_empty():
+    # every member but the least has a[0] >= 2 and so tests its probe at cell 1: a
+    # scan that passes every probe has searched, and found the star factorization
+    for n in range(2, 19):
+        least = least_element(n)
+        for a in enumerate_ln(n):
+            if a != least:
+                found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, n)
+                assert found is not None, f"{format_sequence(a)} in L_{n}"
+
+
 def test_halted_scan_resumes_where_it_stopped(monkeypatch):
     # given n, the scan runs the star search once, at the first probe whose test
     # fails: a factorization is returned at once, and None lets the scan end where
@@ -555,12 +594,12 @@ def test_halted_scan_resumes_where_it_stopped(monkeypatch):
         negative = (len(a) - len(a) % 2, 1)
         positive = (len(a) - 1 + len(a) % 2, 1 if a[:1] == (1,) else 0)
         for start, stop in (negative, positive):
-            whole = _first_lexical_rewrite(a, start, stop)
+            whole = _first_lexical_rewrite(a, start)
             failed = range(start, stop if whole is None else whole[1], -2)
             lifted = [i for i in failed if a[i - 1] == 1 and i > 2 and a[i - 2] >= a[0]]
             tested = len(failed) > len(lifted)
             calls.clear()
-            found = _first_lexical_rewrite(a, start, stop, n)
+            found = _first_lexical_rewrite(a, start, n)
             assert calls == ([(a, n)] if tested else []), a
             assert found == (fac if tested and fac is not None else whole), a
             halted += tested
@@ -619,8 +658,8 @@ def test_reverse_step_matches_the_star_first_reference_on_star_products(n):
 
 
 def test_reverse_walk_rarely_searches_for_a_star_factorization(step_events):
-    # the star search waits for a probe whose test fails: over L_18 it runs on
-    # 564 of the 7 279 steps, where a search first ran on every one
+    # the star search waits for a probe whose test fails: over L_18 it runs
+    # 537 times in the 7 279 steps, where a search first ran on every one
     steps = sum(1 for _ in enumerate_ln_descending(18)) - 1
     assert steps == 7279
     assert step_events.count("star") <= steps // 10
