@@ -1,17 +1,20 @@
 """Ground truth without the walks: brute-force sets and closed-form counts.
 
 The brute-force route generates every composition, filters with the
-definitional lexicality test and sorts. The compositions come out already in
-ascending comparator order, so sorting A_n or L_n finds one sorted run and
-costs one comparison per neighbouring pair (the D_n union is one run per
-divisor); the sort still decides the order, not the generation.
+definitional lexicality test and sorts. The compositions of n grow from those
+of n - 1 by a recurrence that keeps them in ascending comparator order, so
+sorting A_n or L_n finds one sorted run and costs one comparison per
+neighbouring pair (the D_n union is one run per divisor); the sort still
+decides the order, not the generation.
 :func:`cardinality` gives the size of each set from its closed form, with no
 enumeration at all. Nothing here knows about the adjacency machinery. The only
 shared logic is the comparator, the definitional lexicality test (restated
 locally against plain suffixes), the cap reader and the n >= 1 check, so the
 oracle stays an independent route to the same sets. :func:`verify_range` holds
-one set at a time and builds each L_n once: each walk streams against the
-oracle's list, and the report keeps only its length, ``count``.
+one set at a time and generates the compositions of each n once: L_n's
+candidates are read off the A_n list just compared, and that L_n is reused for
+D_n. Each walk streams against the oracle's list, and the report keeps only its
+length, ``count``.
 """
 
 from __future__ import annotations
@@ -33,22 +36,23 @@ def _lexical(a: AlphaSeq) -> bool:
 
 
 def all_compositions(n: int) -> list[AlphaSeq]:
-    """All 2**(n-1) ordered compositions of n into parts >= 1, in ascending comparator order."""
+    """All 2**(n-1) ordered compositions of n into parts >= 1, in ascending comparator order.
+
+    Grown from the compositions of 1 by a recurrence: those of k + 1 are (1,) + c
+    for each composition c of k, taken in reverse, since c's cells move one place
+    and so count with the other sign, followed by each c with its first cell
+    raised by one. The list grows in place, each old tuple replaced as the second
+    half is appended, so no second full list is held.
+    """
     ORACLE_CAP.check(n)
-    out: list[AlphaSeq] = []
-
-    def rec(remaining: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        # siblings first differ at this cell, which counts positive at an even
-        # 0-based index and negative at an odd one
-        for first in range(1, remaining + 1) if len(prefix) % 2 == 0 else range(remaining, 0, -1):
-            prefix.append(first)
-            rec(remaining - first, prefix)
-            prefix.pop()
-
-    rec(n, [])
+    out: list[AlphaSeq] = [(1,)]
+    for _ in range(n - 1):
+        # reversed, the list is walked from its end, so the raised c are appended in order
+        out.reverse()
+        for i in range(len(out) - 1, -1, -1):
+            c = out[i]
+            out[i] = (1,) + c
+            out.append((c[0] + 1,) + c[1:])
     return out
 
 
@@ -62,8 +66,12 @@ def oracle_ln(n: int) -> list[AlphaSeq]:
     check_n(n)
     if n == 1:
         return [ZERO]
-    members = [a for a in all_compositions(n - 1) if _lexical(a)]
-    return sorted(members, key=cmp_to_key(compare))
+    return _sorted_lexical(all_compositions(n - 1))
+
+
+def _sorted_lexical(candidates: Iterable[AlphaSeq]) -> list[AlphaSeq]:
+    # oracle_ln's filter and sort, which verify feeds with L_n's candidates off A_n
+    return sorted(filter(_lexical, candidates), key=cmp_to_key(compare))
 
 
 def oracle_dn(n: int) -> list[AlphaSeq]:
@@ -149,8 +157,12 @@ def _reports(n_min: int, n_max: int) -> Iterator[OracleReport]:
         raise InvalidN(f"bad range [{n_min}, {n_max}]")
     ORACLE_CAP.check(n_max)
     for n in range(n_min, n_max + 1):
-        yield _report(n, "A", oracle_an(n), enumeration.enumerate_an(n))
-        ln = oracle_ln(n)
+        an = oracle_an(n)
+        yield _report(n, "A", an, enumeration.enumerate_an(n))
+        # L_n's candidates are the members of A_n that start with 1, less that cell
+        # (A_1's (1,) gives L_1's zero sequence); A_n is freed before the next A_n
+        ln = _sorted_lexical(a[1:] for a in an if a[0] == 1)
+        del an
         yield _report(n, "L", ln, enumeration.enumerate_ln(n))
         yield _report(n, "D", _dn_from_ln(n, ln), enumeration.enumerate_dn(n))
 

@@ -575,6 +575,25 @@ def test_reverse_scan_given_the_class_never_ends_empty():
                 assert found is not None, f"{format_sequence(a)} in L_{n}"
 
 
+class _NoWrap(tuple):
+    """A sequence whose negative indices raise, where a tuple's read from the end."""
+
+    def __getitem__(self, key):
+        if isinstance(key, int) and key < 0:
+            raise IndexError(f"cell {key} of {tuple(self)}")
+        return super().__getitem__(key)
+
+
+def test_scan_reads_no_cell_left_of_the_first():
+    # the scan stops before cell 1 of (1,), which has no left neighbour to merge
+    # with: a scan that went on would read a[-1], its last cell, and be right only
+    # because the merge (2,) lifts its cell past a[0] and is skipped
+    for n in range(1, 15):
+        for a in oracle_ln(n):
+            for start in (len(a) - len(a) % 2, len(a) - 1 + len(a) % 2):
+                assert _first_lexical_rewrite(_NoWrap(a), start) == _first_lexical_rewrite(a, start), a
+
+
 def test_halted_scan_resumes_where_it_stopped(monkeypatch):
     # given n, the scan runs the star search once, at the first probe whose test
     # fails: a factorization is returned at once, and None lets the scan end where

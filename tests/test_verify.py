@@ -109,29 +109,48 @@ def test_sorting_a_n_compares_each_neighbouring_pair_once(monkeypatch, n):
     assert len(calls) == 2 ** (n - 1) - 1
 
 
+@pytest.mark.parametrize("reorder", [
+    pytest.param(lambda items: items[::-1], id="reversed"),
+    pytest.param(lambda items: random.Random(1401).sample(items, len(items)), id="shuffled"),
+])
+def test_verify_does_not_rest_on_the_generation_order(monkeypatch, reorder):
+    # L_n's candidates are read off the sorted A_n and sorted again, so verify
+    # certifies every set whatever order the compositions come in
+    generate = oracle.all_compositions
+    monkeypatch.setattr(oracle, "all_compositions", lambda n: reorder(generate(n)))
+    reports = verify_range(1, 12)
+    assert len(reports) == 36
+    assert [r for r in reports if not r.ok] == []
+
+
 def test_verify_builds_each_l_n_once(monkeypatch):
+    # each n generates the compositions of n once, for A_n, and reads L_n's
+    # candidates off that list, never generating those of n - 1 for L_n's own
+    # report; only oracle_ln(d), for each proper divisor d >= 2 of a D_n, generates
+    # those of d - 1 again (L_1 needs none)
     built = Counter()
-    build = oracle.oracle_ln
+    generate = oracle.all_compositions
 
-    def counted(n):
-        built[n] += 1
-        return build(n)
+    def counted(k):
+        built[k] += 1
+        return generate(k)
 
-    monkeypatch.setattr(oracle, "oracle_ln", counted)
+    monkeypatch.setattr(oracle, "all_compositions", counted)
     verify_range(1, 12)
-    # once for its own L report, then once for each D_m of which it is a proper divisor
-    assert built == {d: 1 + sum(m % d == 0 for m in range(d + 1, 13)) for d in range(1, 13)}
+    divisors = Counter(d - 1 for n in range(1, 13) for d in range(2, n) if n % d == 0)
+    assert built == Counter(range(1, 13)) + divisors
 
 
 def test_verify_flushes_each_set_before_building_the_next():
-    # the child blocks before building L_4 until its stdin closes, so A_4's
-    # line can only reach the pipe by then if verify printed and flushed it
+    # the child blocks at its first lexicality test, the start of L_4's work, until
+    # its stdin closes, so A_4's line can only reach the pipe by then if verify
+    # printed and flushed it
     src = str(Path(alphaseq.__file__).resolve().parents[1])
     script = (
         "import sys\n"
         "from alphaseq import cli, oracle\n"
-        "build = oracle.oracle_ln\n"
-        "oracle.oracle_ln = lambda n: (sys.stdin.read(), build(n))[1]\n"
+        "test = oracle._lexical\n"
+        "oracle._lexical = lambda a: (sys.stdin.read(), test(a))[1]\n"
         "sys.exit(cli.run(['verify', '4', '4']))\n"
     )
     with subprocess.Popen(
