@@ -25,7 +25,9 @@ runs; it tests its probes with core's head table and uses nothing of cells.
 Each public entry validates its input once, with ``_require_ln`` (core's L_n
 membership rule), and hands its head table to a private body that assumes a
 member and whose probes and star search read it. The walks pass no table: each step
-yields a member of L_n, and the scan builds one at the first probe that needs it.
+yields a member of L_n, and the scan builds one at the first probe that needs it. A
+step down that finds a star factorization gets back the table its search read, and
+the companion tail's scan reads the heads of g off it.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, n: int = 0, table: list | No
     Given ``n``, the class of ``a``, the scan runs ``_star_factorize(a, n)``
     once, at the first probe whose test fails, so a reverse step looks for a
     star factorization before it pays for more probes: a factorization ends
-    the scan and is returned, and None lets the scan go on with the same table.
+    the scan and is returned as (factorization, the head table of ``a``), the
+    table the search read, built then if no probe needed it before, and None
+    lets the scan go on with the same table.
     """
     head = a[0] if a else 0
     heads = a.count(head) if table is None else len(table) + 1
@@ -125,9 +129,11 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, n: int = 0, table: list | No
         if lexical:
             return cand, i
         if n:
-            found = _star_factorize(a, n, [] if heads == 1 else table)
+            if table is None:
+                table = [] if heads == 1 else _head_table(a)
+            found = _star_factorize(a, n, table)
             if found is not None:
-                return found
+                return found, table
             n = 0
     return None
 
@@ -269,13 +275,14 @@ def _predecessor_tail(g: AlphaSeq, m: int, table: list | None = None) -> AlphaSe
     # the reverse step's scan; a factorization with s == 0 raises too, since a
     # star product has no lexical positive-cell rewrite
     found = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, m, table)
-    if isinstance(found, StarFactorization):
+    if found is not None:
+        found = found[0]
+        if not isinstance(found, StarFactorization):
+            return found
         k, s = two_adic_split(found.d)
         if s > 0:
             tau = harmonic(k, found.g)
             return power(extend_odd(tau), 2 * s) + tau
-    elif found is not None:
-        return found[0]
     raise NoDecomposition(f"{format_sequence(g)} admits neither structural form in class {m}")
 
 
@@ -290,13 +297,15 @@ def _predecessor_parts(a: AlphaSeq, n: int, table: list | None = None) -> tuple[
     # product has no lexical rewrite, so the scan searches at its first rejected
     # probe, and a member that does not factor goes on to a lexical probe.
     found = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, n, table)
-    if isinstance(found, StarFactorization):
-        # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m. g ends
-        # a, which starts with g but its last cell, so g's heads keep their windows in a's table
-        g, s = found.g, len(a) - len(found.g)
-        tail_table = None if table is None else [(j - s, e - s) for j, e in table if j > s]
-        return power(extend_even(g), found.d - 1) + _predecessor_tail(g, found.m, tail_table), found
-    return found[0], None
+    if not isinstance(found[0], StarFactorization):
+        return found[0], None
+    # the search accepts only a lexical g with 1 + degree(g) = m, a member of L_m. g ends a,
+    # which starts with g but its last cell, so g's heads keep their windows in the table of
+    # a that the search read, and the tail's scan reads them off it
+    fac, table = found
+    g, s = fac.g, len(a) - len(fac.g)
+    tail_table = [(j - s, e - s) for j, e in table if j > s]
+    return power(extend_even(g), fac.d - 1) + _predecessor_tail(g, fac.m, tail_table), fac
 
 
 def predecessor_ln(a: AlphaSeq, n: int) -> AlphaSeq:

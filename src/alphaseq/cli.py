@@ -5,12 +5,15 @@ least, verify. ``succ --set dn`` and ``pred --set dn`` print the whole
 insertion burst of one L_n step, one element per line. Sequences are
 written as comma-separated positive integers in ASCII digits ("3,1,2,1");
 the zero sequence is the literal "0". ``list`` streams every format through one
-encoder: it takes the walk 64 items at a time and joins each item's cells from a
-table that converts every distinct cell value to text once; text and CSV (a CSV
-row is the text line) join the rows by line breaks, and JSON wraps each row in
-brackets. A cell too long to print is a domain error. ``list`` takes its
-length, the JSON ``count``, from the closed forms of ``oracle.cardinality``, so
-a ``--limit`` at or above the set's size lists the whole set. ``least``,
+encoder: it takes the rows 64 at a time; text and CSV (a CSV row is the text line)
+join them by line breaks, and JSON wraps each row in brackets. Every cell's text
+comes from a table that converts each distinct cell value once. A row of L_n or
+D_n is an item of the walk, its cells joined in C. A_n is not walked row by row:
+its rows are stitched by the first-cell law onto the rows of the small A_m, which
+the step walk makes once per listing, one string concatenation per row. A cell
+too long to print is a domain error. ``list`` takes its length, the JSON
+``count``, from the closed forms of ``oracle.cardinality``, so a ``--limit`` at
+or above the set's size lists the whole set. ``least``,
 ``harmonic`` and ``star`` refuse an output of more than ``MAX_CELLS`` cells as
 a domain error. ``verify`` prints and flushes each set's line as soon as that
 set is certified. Exit codes: 0 success, 1 usage error, 2 domain error, 3
@@ -24,10 +27,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice, repeat
+from collections.abc import Iterator
+from itertools import chain, islice, repeat
 
 from . import enumeration, oracle
 from .adjacency import predecessor_dn, predecessor_ln, successor_dn, successor_ln
+from .caps import ENUM_CAP
 from .cells import predecessor_an, successor_an
 from .core import (
     compare,
@@ -136,10 +141,16 @@ def _say(line: str) -> int:
 
 
 def _cmd_list(args) -> int:
-    # read off the module at call time, so a rebound walk is the one that runs
-    walk = getattr(enumeration, f"enumerate_{args.set_name}{'_descending' if args.desc else ''}")
-    stream = walk(args.n)
-    # only a --limit below the set's size cuts the stream, so an overshooting walk still shows.
+    cell = _CellText().__getitem__
+    if args.set_name == "an":
+        rows = _an_rows(args.n, args.desc, cell)
+    else:
+        # read off the module at call time, so a rebound walk is the one that runs
+        walk = getattr(enumeration, f"enumerate_{args.set_name}{'_descending' if args.desc else ''}")
+        # each item becomes the row of its cells joined by commas, all in C; each distinct
+        # cell value is converted to text once, by the table. The zero sequence joins to "".
+        rows = map(",".join, map(map, repeat(cell), walk(args.n)))
+    # only a --limit below the set's size cuts the rows, so an overshooting walk still shows.
     # |A_n| = 2^(n-1) takes n/8 bytes, so for an the cut is read off the limit's bit length.
     if args.limit is None:
         cut = False
@@ -148,35 +159,59 @@ def _cmd_list(args) -> int:
     else:
         cut = args.limit < oracle.cardinality(args.set_name, args.n)
     if cut:
-        stream = islice(stream, args.limit)
-    # One encoder for every format: the walk is taken 64 items at a time, and each item
-    # becomes the row of its cells joined by commas, all in C; each distinct cell value is
-    # converted to text once, by the table. 64 items keep each write well inside one 8 KiB
-    # stdout block, so output leaves steadily.
-    cell = _CellText().__getitem__
-
-    def rows_of(chunk):
-        return map(",".join, map(map, repeat(cell), chunk))  # the zero sequence joins to ""
-
-    chunks = iter(lambda: list(islice(stream, 64)), [])
+        rows = islice(rows, args.limit)
+    # One encoder for every format: the rows are taken 64 at a time, which keeps each
+    # write well inside one 8 KiB stdout block, so output leaves steadily.
+    chunks = iter(lambda: list(islice(rows, 64)), [])
     write = sys.stdout.write
     if args.format != "json":
         # a CSV row of positive integers needs no quoting, so it is the text line
         for chunk in chunks:
-            rows = rows_of(chunk)
             if not all(chunk):
-                rows = [row or "0" for row in rows]
-            write("\n".join(rows) + "\n")
+                chunk = [row or "0" for row in chunk]
+            write("\n".join(chunk) + "\n")
         return EXIT_OK
-    # "count" precedes "items", so it is the length decided above, not read off the stream
+    # "count" precedes "items", so it is the length decided above, not read off the rows
     count = args.limit if cut else oracle.cardinality(args.set_name, args.n)
     write(f'{{"n":{args.n},"set":"{args.set_name}","count":{count},"items":[')
     lead = "["
     for chunk in chunks:
-        write(lead + "],[".join(rows_of(chunk)) + "]")
+        write(lead + "],[".join(chunk) + "]")
         lead = ",["
     write("]}\n")
     return EXIT_OK
+
+
+#: Largest m whose A_m rows ``list --set an`` takes from the step walk, as the tails
+#: that longer rows end in. Their number doubles with each step of m, so it stays small.
+_AN_BLOCK = 6
+
+
+def _an_rows(n: int, desc: bool, cell) -> Iterator[str]:
+    """The rows of A_n, ascending or descending, as text, stitched by the first-cell law.
+
+    Ascending A_m is, for c = 1 .. m, the cell c followed by the rows of descending
+    A_(m - c); descending A_m is, for c = m .. 1, c followed by ascending A_(m - c); A_0
+    is the empty row. For m - c <= _AN_BLOCK the rows after c are tails, ``"," + row``
+    for each row of the step walk over A_(m - c), rendered once per listing, so each
+    row of that block is one string concatenation; a larger m - c recurses.
+    """
+    ENUM_CAP.check(n)
+    # tails[d][m]: the tails of A_m, ascending for d = 0 and descending for d = 1
+    tails = [
+        [[""]] + [["," + ",".join(map(cell, a)) for a in walk(m)] for m in range(1, min(n, _AN_BLOCK + 1))]
+        for walk in (enumeration.enumerate_an, enumeration.enumerate_an_descending)
+    ]
+
+    def blocks(prefix: str, m: int, desc: bool) -> Iterator[list[str]]:
+        for c in range(m, 0, -1) if desc else range(1, m + 1):
+            head = prefix + cell(c)
+            if m - c <= _AN_BLOCK:
+                yield list(map(head.__add__, tails[not desc][m - c]))
+            else:
+                yield from blocks(head + ",", m - c, not desc)
+
+    return chain.from_iterable(blocks("", n, desc))
 
 
 class _CellText(dict):

@@ -596,9 +596,10 @@ def test_scan_reads_no_cell_left_of_the_first():
 
 def test_halted_scan_resumes_where_it_stopped(monkeypatch):
     # given n, the scan runs the star search once, at the first probe whose test
-    # fails: a factorization is returned at once, and None lets the scan end where
-    # the plain scan ends. Every probe before the plain scan's answer fails; all are
-    # tested but a merge that lifts its cell past a[0]
+    # fails: a factorization is returned at once, with the head table of a that the
+    # search read, and None lets the scan end where the plain scan ends. Every probe
+    # before the plain scan's answer fails; all are tested but a merge that lifts its
+    # cell past a[0]
     calls = []
 
     def search(a, n, table):
@@ -620,7 +621,7 @@ def test_halted_scan_resumes_where_it_stopped(monkeypatch):
             calls.clear()
             found = _first_lexical_rewrite(a, start, n)
             assert calls == ([(a, n)] if tested else []), a
-            assert found == (fac if tested and fac is not None else whole), a
+            assert found == ((fac, _head_table(a)) if tested and fac is not None else whole), a
             halted += tested
             factored += tested and fac is not None
     assert halted > 1000 and factored > 500
@@ -707,6 +708,19 @@ def test_resonant_reverse_step_pays_at_most_one_lexicality_test_first(step_event
     assert _predecessor_parts(b, n)[0] == a
     assert "star" in step_events
     assert step_events[: step_events.index("star")].count("probe") <= 1
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_resonant_reverse_step_builds_one_head_table(step_events, k):
+    # the step down into least_element(3 * 2**k) is resonant: the scan builds the head
+    # table of its input for the star search, and the companion tail's scan reads the
+    # heads of g off that table and builds none of its own
+    n = 3 * 2**k
+    a = least_element(n)
+    b = _successor_parts(a, n)[0]
+    step_events.clear()
+    assert _predecessor_parts(b, n)[0] == a
+    assert step_events.count("table") == 1
 
 
 @pytest.mark.parametrize("k", [6, 8, 10])

@@ -122,6 +122,41 @@ def test_list_limit_at_or_above_the_set_size_lists_the_whole_set(capsys, fmt):
             assert run(capsys, *argv, "--limit", str(limit)) == (0, whole, ""), (argv, limit)
 
 
+def test_list_an_steps_only_to_build_its_tails(capsys, monkeypatch):
+    # list --set an walks A_m once per listing for each m up to its block size, both
+    # ways, and stitches every longer row from those tails by the first-cell law: the
+    # steps it takes do not grow with n, where stepping per row takes 2**(n-1) - 1
+    calls = []
+    for name in ("successor_an", "predecessor_an"):
+        step = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name, lambda a, step=step: calls.append(a) or step(a))
+    counts = {}
+    for n, desc in itertools.product((12, 17), (False, True)):
+        calls.clear()
+        code, out, _ = run(capsys, "list", "--set", "an", str(n), *["--desc"] * desc)
+        assert code == 0 and out.count("\n") == 2 ** (n - 1)
+        counts[n, desc] = len(calls)
+    assert counts[12, False] == counts[17, False] and counts[12, True] == counts[17, True], counts
+    assert 0 < max(counts.values()) < 2 ** (cli._AN_BLOCK + 1), counts
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_list_an_far_past_the_block_size_is_the_walk(capsys, monkeypatch, fmt):
+    # a prefix of A_3000 stitches rows whose first cells run to 2999 across several
+    # levels of the first-cell law and many 64-row chunk seams
+    monkeypatch.setenv("ALPHASEQ_ENUM_CAP", "5000")
+    for desc in (False, True):
+        walk = enumeration.enumerate_an_descending if desc else enumeration.enumerate_an
+        head = list(itertools.islice(walk(3000), 300))
+        argv = ["list", "--set", "an", "3000", "--limit", "300", "--format", fmt, *["--desc"] * desc]
+        if fmt == "text":
+            expected = "".join(format_sequence(a) + "\n" for a in head)
+        else:
+            record = {"n": 3000, "set": "an", "count": 300, "items": head}
+            expected = json.dumps(record, separators=(",", ":")) + "\n"
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
 class _Writes(io.StringIO):
     def __init__(self):
         super().__init__()
