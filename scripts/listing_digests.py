@@ -9,9 +9,10 @@ the error exits. ``verify`` runs over [1, 1], [1, 8], [1, 14], [12, 12] and
 [15, 16], and over the error exits [0, 3], [5, 4] and [1, 21]. Then come the
 error exits of the step and algebra commands and of argument parsing (``ERRORS``),
 two of them on a 4300-digit cell (shown shortened); among the step exits are
-non-members of L_n that fail its degree, its first-cell bound and only its heads'
-suffix tests. Then, with ALPHASEQ_ENUM_CAP raised to 100 in this process, come
-listings whose cells run to 99 (``RAISED_CAP``).
+the maximal and minimal members of A_n, and non-members of L_n that fail its
+degree, its first-cell bound and only its heads' suffix tests. Then, with
+ALPHASEQ_ENUM_CAP raised to 100 in this process, come listings whose cells run
+to 99 (``RAISED_CAP``).
 Last come the domain-error exits of a cap spelled as no integer argument is,
 one per cap variable. Each environment group is set for its own commands only.
 Each digest covers the exit code, stderr and stdout of one in-process run of
@@ -41,6 +42,7 @@ LIST_GRID = itertools.product(
 )
 ERRORS = [
     ["succ", "--set", "an", "0", "1"], ["succ", "--set", "an", "4", "2,1"], ["pred", "--set", "an", "4", "0"],
+    ["succ", "--set", "an", "4", "4"], ["pred", "--set", "an", "4", "1,3"], ["pred", "--set", "an", "1", "1"],
     ["succ", "--set", "ln", "7", "6"], ["succ", "--set", "ln", "6", "2,3"], ["pred", "--set", "ln", "8", "3"],
     ["pred", "--set", "ln", "8", "2,1,1,2,1"], ["pred", "--set", "ln", "-1", "3"],
     ["succ", "--set", "dn", "8", "3"], ["pred", "--set", "dn", "0", "0"], ["succ", "--set", "xn", "8", "3"],

@@ -6,9 +6,10 @@ order, on a positive cell down, and either rewrite flips the parity of the
 length while preserving the degree.
 
 Here are the paper's rewrites, the A_n steps and the public candidate scans.
-The L_n and D_n steps scan with ``adjacency._first_lexical_rewrite``, which
-inlines the rewrites and tests its probes against ``core``'s head table. No
-walk calls ``split``, ``conjugate``, ``apply_at`` or the candidate scans: they
+An A_n step is ``apply_at`` at the last negative cell (up) or the last positive
+cell (down). The L_n and D_n steps scan with
+``adjacency._first_lexical_rewrite``, which inlines the rewrites and tests its
+probes against ``core``'s head table. No walk calls the candidate scans: they
 are the reference the inline rewrites are tested against.
 """
 
@@ -53,45 +54,17 @@ def successor_an(a: AlphaSeq) -> AlphaSeq:
     """Adjacent successor in A_n: rewrite at the last negative cell."""
     if len(a) < 2:
         raise Maximal(f"{format_sequence(a)} is the maximal element of its A_n")
-    # the A_n walks step here; the rewrite changes only the last one to three
-    # cells, so only they are rebuilt; a cell below 1 takes conjugate for its error
-    if len(a) % 2:
-        v = a[-2]
-        if v >= 2:
-            return a[:-2] + (v - 1, 1, a[-1])
-        if v == 1:
-            return a[:-3] + (a[-3] + 1, a[-1])
-        return conjugate(a, len(a) - 1)
-    v = a[-1]
-    if v >= 2:
-        return a[:-1] + (v - 1, 1)
-    if v == 1:
-        return a[:-2] + (a[-2] + 1,)
-    return conjugate(a, len(a))
+    return apply_at(a, len(a) - len(a) % 2)
 
 
 def predecessor_an(a: AlphaSeq) -> AlphaSeq:
     """Adjacent predecessor in A_n: rewrite at the last positive cell."""
     if not a:
         raise Minimal("the zero sequence is not a member of any A_n")
-    # the same shapes as successor_an at the last positive cell, rebuilding only
-    # the last one to three cells; a 1 in cell 1 has no left neighbour to merge
-    # into, so (1,) and (1, x) fall through to Minimal
-    if len(a) % 2:
-        v = a[-1]
-        if v >= 2:
-            return a[:-1] + (v - 1, 1)
-        if v == 1 and len(a) > 1:
-            return a[:-2] + (a[-2] + 1,)
-    else:
-        v = a[-2]
-        if v >= 2:
-            return a[:-2] + (v - 1, 1, a[-1])
-        if v == 1 and len(a) > 2:
-            return a[:-3] + (a[-3] + 1, a[-1])
-    if v == 1:
+    # a 1 in cell 1 has no left neighbour to merge into: (1,) and (1, x) are minimal
+    if len(a) <= 2 and a[0] == 1:
         raise Minimal(f"{format_sequence(a)} is the minimal element of its A_n")
-    return conjugate(a, len(a) - 1 + len(a) % 2)
+    return apply_at(a, len(a) - 1 + len(a) % 2)
 
 
 def lexical_successor_candidate(a: AlphaSeq) -> tuple[AlphaSeq, int]:

@@ -76,8 +76,7 @@ def test_apply_at_rejects_out_of_range_positions(a, i):
 
 
 # The dispatch through split and conjugate alone, and the A_n steps built on it:
-# successor_an and predecessor_an build their rewrite inline, and must agree with
-# these on every input.
+# successor_an and predecessor_an must agree with these on every input.
 def _dispatch(a, i):
     return split(a, i) if a[i - 1] >= 2 else conjugate(a, i)
 
@@ -123,7 +122,7 @@ def test_rewrites_match_the_dispatch_behind_a_longer_prefix():
 
 def _record_paper_rewrites(monkeypatch):
     """The list to which each call of split, conjugate and apply_at made through the
-    globals of cells, the names the A_n steps would call them by, appends its name."""
+    globals of cells, the names the A_n steps call them by, appends its name."""
     calls = []
 
     def recorded(name, fn):
@@ -138,17 +137,20 @@ def _record_paper_rewrites(monkeypatch):
     return calls
 
 
-def test_an_walks_rebuild_their_cells_without_the_paper_rewrites(monkeypatch):
-    # each A_n step rebuilds its last one to three cells itself; conjugate is
-    # called only for the error of a cell below 1
+def test_an_walks_step_through_one_paper_rewrite_each(monkeypatch):
+    # each A_n step is apply_at at the last negative or positive cell, which
+    # hands the cell to split or conjugate
     calls = _record_paper_rewrites(monkeypatch)
     for n in range(1, 15):
-        assert sum(1 for _ in enumerate_an(n)) == 2 ** (n - 1)
-        assert sum(1 for _ in enumerate_an_descending(n)) == 2 ** (n - 1)
-    assert calls == []
+        for walk in (enumerate_an, enumerate_an_descending):
+            calls.clear()
+            assert sum(1 for _ in walk(n)) == 2 ** (n - 1)
+            assert calls.count("apply_at") == 2 ** (n - 1) - 1, (walk.__name__, n)
+            assert len(calls) == 2 * calls.count("apply_at")
+    calls.clear()
     with pytest.raises(NotConjugatable):
         successor_an((2, 0))
-    assert calls == ["conjugate"]
+    assert calls == ["apply_at", "conjugate"]
 
 
 def test_matches_the_closure_form_of_the_rewrites():
@@ -203,7 +205,7 @@ def test_predecessor_an_examples():
 
 
 def test_an_steps_match_oracle_adjacency():
-    # the steps build their rewrite inline; the walk they make is the oracle's order
+    # the walk the steps make is the oracle's order
     for n in range(1, 15):
         ordered = oracle_an(n)
         for a, b in zip(ordered, ordered[1:]):
