@@ -92,7 +92,7 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, n: int = 0, table: list | No
     when ``a[0]`` does not recur in ``a``, its one other head is the cell r a merge
     raised to ``a[0]``, and one compare decides it.
 
-    Given ``n``, the class of ``a``, the scan runs ``_star_factorize(a, n)``
+    Given ``n``, the class of ``a``, the scan runs ``_star_factorize(a, n, table)``
     once, at the first probe whose test fails, so a reverse step looks for a
     star factorization before it pays for more probes: a factorization ends
     the scan and is returned as (factorization, the head table of ``a``), the
@@ -224,7 +224,7 @@ def star_factorize(a: AlphaSeq, n: int) -> StarFactorization | None:
     return _star_factorize(a, n, _require_ln(a, n))
 
 
-def _star_factorize(a: AlphaSeq, n: int, table: list | None = None) -> StarFactorization | None:
+def _star_factorize(a: AlphaSeq, n: int, table: list) -> StarFactorization | None:
     # a starts with extend_odd(g), which keeps g but its last cell, so a suffix g = a[j:]
     # has its window in a's head table end at len(a) - 1 or later. Its class m must be a
     # proper divisor of n, so m <= n // 2, and is n less p, the degree of a[:j], summed
@@ -233,7 +233,7 @@ def _star_factorize(a: AlphaSeq, n: int, table: list | None = None) -> StarFacto
     if a:
         head, half, last = a[0], n // 2, len(a) - 1
         j = p = 0
-        for k, e in _head_table(a) if table is None else table:
+        for k, e in table:
             if e >= last:
                 p += sum(a[j:k])
                 j, m = k, n - p
@@ -271,7 +271,7 @@ def predecessor_tail(g: AlphaSeq, m: int) -> AlphaSeq:
     return _predecessor_tail(g, m, _require_ln(g, m))
 
 
-def _predecessor_tail(g: AlphaSeq, m: int, table: list | None = None) -> AlphaSeq:
+def _predecessor_tail(g: AlphaSeq, m: int, table: list) -> AlphaSeq:
     # the reverse step's scan; a factorization with s == 0 raises too, since a
     # star product has no lexical positive-cell rewrite
     found = _first_lexical_rewrite(g, len(g) - 1 + len(g) % 2, m, table)

@@ -213,9 +213,9 @@ def test_companion_tail_searches_only_after_a_rejected_probe(step_events):
                 expected = _predecessor_tail_two_forms(g, m)
             except NoDecomposition:
                 with pytest.raises(NoDecomposition):
-                    _predecessor_tail(g, m)
+                    _predecessor_tail(g, m, _head_table(g))
             else:
-                assert _predecessor_tail(g, m) == expected, (m, g)
+                assert _predecessor_tail(g, m, _head_table(g)) == expected, (m, g)
             searches = step_events.count("star")
             assert searches == bool(rejected), (m, g, step_events)
             swept += 1
@@ -465,7 +465,7 @@ def test_member_scan_matches_the_candidate_scans():
             assert succ is not None or len(a) < 2, a
             pred = _first_lexical_rewrite(a, len(a) - 1 + len(a) % 2, 0, table)
             assert pred == _result_or_none(lexical_predecessor_candidate, a), a
-            assert pred is not None or not a or _star_factorize(a, degree(a) + 1) is not None, a
+            assert pred is not None or not a or _star_factorize(a, degree(a) + 1, _head_table(a)) is not None, a
         seen += len(a) > 1 and a.count(a[0]) > 1
     assert seen > 1000
 
@@ -610,7 +610,7 @@ def test_halted_scan_resumes_where_it_stopped(monkeypatch):
     halted = factored = 0
     for a in _members_with_known_answers():
         n = degree(a) + 1
-        fac = _star_factorize(a, n)
+        fac = _star_factorize(a, n, _head_table(a) if a else [])
         negative = (len(a) - len(a) % 2, 1)
         positive = (len(a) - 1 + len(a) % 2, 1 if a[:1] == (1,) else 0)
         for start, stop in (negative, positive):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -21,7 +19,6 @@ from alphaseq.core import (
     degree,
     extend_even,
     extend_odd,
-    format_sequence,
 )
 from alphaseq.enumeration import enumerate_an, enumerate_an_descending
 from alphaseq.errors import Maximal, Minimal, NotConjugatable, NotSplittable
@@ -75,49 +72,42 @@ def test_apply_at_rejects_out_of_range_positions(a, i):
         apply_at(a, i)
 
 
-# The dispatch through split and conjugate alone, and the A_n steps built on it:
-# successor_an and predecessor_an must agree with these on every input.
-def _dispatch(a, i):
-    return split(a, i) if a[i - 1] >= 2 else conjugate(a, i)
+# Edge inputs of the A_n steps, each with its result or its error type and message:
+# the zero sequence, one cell, a 1 in cell 1, and cells of 0 and -1, which no A_n
+# holds: the steps rewrite them as split and conjugate do, and raise where those raise.
+# A merge at cell 1 raises rather than read a[-1]
+AN_STEP_EDGES = [
+    (successor_an, (), Maximal, "0 is the maximal element of its A_n"),
+    (successor_an, (0,), Maximal, "0 is the maximal element of its A_n"),
+    (successor_an, (1,), Maximal, "1 is the maximal element of its A_n"),
+    (successor_an, (3,), Maximal, "3 is the maximal element of its A_n"),
+    (successor_an, (1, 4), None, (1, 3, 1)),
+    (successor_an, (2, 0), NotConjugatable, "cell 2 of 2,0 does not have value 1"),
+    (successor_an, (0, 2), None, (0, 1, 1)),
+    (successor_an, (2, -1), NotConjugatable, "cell 2 of 2,-1 does not have value 1"),
+    (successor_an, (-1, 1), None, (0,)),
+    (successor_an, (3, 1, 2, 0, 1, 1), None, (3, 1, 2, 0, 2)),
+    (predecessor_an, (), Minimal, "the zero sequence is not a member of any A_n"),
+    (predecessor_an, (0,), NotConjugatable, "cell 1 of 0 does not have value 1"),
+    (predecessor_an, (1,), Minimal, "1 is the minimal element of its A_n"),
+    (predecessor_an, (3,), None, (2, 1)),
+    (predecessor_an, (1, 4), Minimal, "1,4 is the minimal element of its A_n"),
+    (predecessor_an, (2, 0), None, (1, 1, 0)),
+    (predecessor_an, (0, 2), NotConjugatable, "cell 1 of 0,2 does not have value 1"),
+    (predecessor_an, (2, -1), None, (1, 1, -1)),
+    (predecessor_an, (-1, 1), NotConjugatable, "cell 1 of -1,1 does not have value 1"),
+    (predecessor_an, (3, 1, 2, 0, 1, 1), None, (3, 1, 2, 1, 1)),
+]
 
 
-def _successor_an(a):
-    if len(a) < 2:
-        raise Maximal(f"{format_sequence(a)} is the maximal element of its A_n")
-    return _dispatch(a, len(a) - len(a) % 2)
-
-
-def _predecessor_an(a):
-    if not a:
-        raise Minimal("the zero sequence is not a member of any A_n")
-    i = len(a) if len(a) % 2 == 1 else len(a) - 1
-    if i == 1 and a[0] == 1:
-        raise Minimal(f"{format_sequence(a)} is the minimal element of its A_n")
-    return _dispatch(a, i)
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except Exception as exc:  # the error type and message are part of the contract
-        return type(exc), str(exc)
-
-
-def test_rewrites_match_the_split_conjugate_dispatch_on_every_small_input():
-    # cells outside 1.. included: a merge at position 1 must raise, not read a[-1]
-    for k in range(6):
-        for a in itertools.product((-1, 0, 1, 2, 3), repeat=k):
-            assert _outcome(successor_an, a) == _outcome(_successor_an, a), a
-            assert _outcome(predecessor_an, a) == _outcome(_predecessor_an, a), a
-
-
-def test_rewrites_match_the_dispatch_behind_a_longer_prefix():
-    # lengths 6 and 7 put cells before the a[-3] merged into by a rewrite at the
-    # last cell but one, which the lengths above reach only with a short prefix
-    for k in (6, 7):
-        for a in itertools.product((0, 1, 2, 3), repeat=k):
-            assert _outcome(successor_an, a) == _outcome(_successor_an, a), a
-            assert _outcome(predecessor_an, a) == _outcome(_predecessor_an, a), a
+@pytest.mark.parametrize("step, a, error, expected", AN_STEP_EDGES)
+def test_an_steps_on_edge_inputs(step, a, error, expected):
+    if error is None:
+        assert step(a) == expected
+    else:
+        with pytest.raises(error) as exc:
+            step(a)
+        assert type(exc.value) is error and str(exc.value) == expected
 
 
 def _record_paper_rewrites(monkeypatch):
