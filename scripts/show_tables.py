@@ -8,12 +8,14 @@ Usage: python scripts/show_tables.py --set dn 8
 
 Exits as the alphaseq CLI does: 1 with one stderr line for a usage error,
 2 with one stderr line for a domain error (an n below 1 or above the cap, or
-an ``ALPHASEQ_ENUM_CAP`` that is not a positive integer).
+an ``ALPHASEQ_ENUM_CAP`` that is not a positive integer), and 0 quietly when
+its reader closes the pipe early (``... | head``): it ends through the CLI's
+own exit.
 """
 
 import sys
 
-from alphaseq.cli import EXIT_DOMAIN, _integer, _Parser
+from alphaseq.cli import EXIT_DOMAIN, _end, _integer, _Parser
 from alphaseq.enumeration import enumerate_an, enumerate_dn, enumerate_ln
 from alphaseq.errors import AlphaSequenceError
 
@@ -39,4 +41,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    _end(main)

@@ -25,6 +25,7 @@ usage error is argparse's error line without its usage block.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections.abc import Iterator
@@ -317,9 +318,16 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
 
 
-def main() -> None:
+def _end(command) -> None:
+    """Run ``command()``, which returns an exit code, and exit the process with it.
+
+    Output cut short by its reader closing the pipe exits 0. The collector is
+    frozen before the exit: the objects alive then live until the process ends,
+    so the interpreter's last collections need not traverse them, and the
+    operating system reclaims them. Exit handlers and the final flushes still run.
+    """
     try:
-        code = run()
+        code = command()
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (``alphaseq list ... | head``): end
@@ -327,4 +335,9 @@ def main() -> None:
         # of what is still buffered does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_OK
+    gc.freeze()
     sys.exit(code)
+
+
+def main() -> None:
+    _end(run)

@@ -260,6 +260,38 @@ def test_list_ends_quietly_when_the_reader_closes_the_pipe(fmt):
     assert err == b""
 
 
+def run_child(*args):
+    """(exit code, stdout, stderr) of one interpreter run with this checkout's alphaseq."""
+    src = str(Path(alphaseq.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", *args],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argv, code", [(["least", "5"], 0), (["nonsense"], 1), (["least", "0"], 2)])
+def test_a_child_exits_as_run_returns(capsys, argv, code):
+    # main() is the only way out of a child; it keeps run()'s code and output,
+    # with one stderr line for exits 1 and 2 and none for 0
+    expected = run(capsys, *argv)
+    assert expected[0] == code and len(expected[2].splitlines()) == min(code, 1)
+    assert run_child("-m", "alphaseq", *argv) == expected
+
+
+def test_a_child_runs_its_exit_handlers_with_the_collector_frozen():
+    # main() ends through sys.exit, not os._exit, so exit handlers still run;
+    # by then it has frozen the collector
+    script = (
+        "import atexit, gc, sys\n"
+        "from alphaseq import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['alphaseq', 'least', '5']\n"
+        "cli.main()\n"
+    )
+    assert run_child("-c", script) == (0, format_sequence(least_element(5)) + "\n", "frozen True\n")
+
+
 def test_list_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "list", "--set", "an", "31")
     assert code == 2

@@ -5,11 +5,18 @@ A claim is an HTML comment just before the number it names, as in
 between each group of three digits. CLAIMS holds one recount per claim name.
 The suite fails when a marked number differs from its recount, when a marker
 has no recount and when a recount has no marker.
+
+The benchmark table is recomputed too: the README names a ``BENCH_*.json``
+file and the commit whose runs it summarizes, and each ``wall_s`` and
+``step_p50_us`` cell is the median of those runs, printed to three
+significant figures.
 """
 
 import contextlib
 import io
+import json
 import re
+import statistics
 from argparse import Namespace
 from collections import Counter
 from pathlib import Path
@@ -22,8 +29,11 @@ from alphaseq.enumeration import enumerate_ln, enumerate_ln_descending
 from alphaseq.errors import AlphaSequenceError
 from alphaseq.oracle import oracle_ln
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 MARKER = re.compile(r"<!-- claim: (\S*) -->(\d{1,3}(?: \d{3})*(?!\d))?")
+BENCH_SOURCE = re.compile(r"runs recorded as commit `([0-9a-f]{7,40})`\s+in\s+`(BENCH_\d+\.json)`")
+BENCH_ROW = re.compile(r"^\| ([a-z-]+) \| [^|]* \| ([\d.]+) (s|ms) \| ([\d.]+) µs \|$", re.MULTILINE)
 
 
 def readme_claims():
@@ -159,3 +169,30 @@ def test_readme_claim_is_recounted(name, step_events, monkeypatch):
     stated = dict(readme_claims())
     assert name in stated, f"README has no marker for {name}"
     assert CLAIMS[name](step_events, monkeypatch) == stated[name]
+
+
+def _bench_cell(records, metric, scale, printed):
+    """The median of ``metric`` over ``records``, divided by ``scale`` and printed as ``printed`` is."""
+    median = statistics.median(r["result"]["metrics"][metric]["value"] for r in records) / scale
+    decimals = len(printed.partition(".")[2])
+    return f"{median:.{decimals}f}"
+
+
+def test_readme_benchmark_table_is_the_medians_of_its_runs():
+    text = README.read_text(encoding="utf-8")
+    sources = BENCH_SOURCE.findall(text)
+    assert len(sources) == 1, sources
+    commit, name = sources[0]
+    with open(ROOT / name, encoding="utf-8") as f:
+        runs = [json.loads(line) for line in f]
+    rows = BENCH_ROW.findall(text)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(row[0] for row in rows) == sorted(w["name"] for w in spec["workloads"])
+    for workload, wall, wall_unit, p50 in rows:
+        records = [r for r in runs if r["workload"] == workload and r["env"]["commit"].startswith(commit)]
+        assert records, f"{name} has no {workload} run of {commit}"
+        for printed in (wall, p50):
+            assert len(printed.replace(".", "").lstrip("0")) == 3, f"{workload}: {printed} is not 3 figures"
+        scale = {"s": 1, "ms": 1e-3}[wall_unit]
+        assert _bench_cell(records, "wall_s", scale, wall) == wall, workload
+        assert _bench_cell(records, "step_p50_us", 1, p50) == p50, workload

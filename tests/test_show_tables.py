@@ -31,3 +31,18 @@ def test_errors_exit_with_one_stderr_line_as_the_cli_does(argv, env, code, line)
 
 def test_prints_the_wall_largest_element_on_top():
     assert show_tables("--set", "an", "3") == (0, "+  -  +\n3\n2  1\n1  1  1\n1  2\n", "")
+
+
+def test_ends_quietly_when_the_reader_closes_the_pipe():
+    # the wall of A_16 (about 800 KB) outgrows a 64 KiB pipe buffer, so the
+    # script is still writing when the reader goes away
+    src = str(Path(alphaseq.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, str(SCRIPT), "--set", "an", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert first.startswith(b"+  -") and child.returncode == 0
+    assert err == b""
