@@ -70,19 +70,19 @@ class StarFactorization(namedtuple("StarFactorization", "g m lam d")):
         return self.g == ZERO
 
 
-def _first_lexical_rewrite(a: AlphaSeq, start: int, n: int = 0, table: list | None = None) -> object:
+def _first_lexical_rewrite(a: AlphaSeq, start: int, n: int, table: list | None) -> object:
     """First lexical rewrite of a lexical ``a`` at cells start, start - 2, ... >= 1.
 
     An even start scans the negative cells and an odd one the positive cells; cell 1
     of (1,), the one member that starts with 1, has no left neighbour to merge with.
 
-    Returns what the public candidate scan over the same positions returns, or
-    None where that scan raises NoCandidate. ``a[0]`` is the largest cell of
-    ``a`` and a split never raises a cell, so a split at i >= 2 is lexical when
-    ``a[0]`` no longer recurs in it. A merge raises only cell i - 1: past
-    ``a[0]`` it is rejected for i > 2, and for i = 2 it becomes the new, unique
-    first cell, which is lexical. Every other probe is tested against the
-    suffixes at its heads, the cells equal to ``a[0]``.
+    Returns (rewrite, i) for the first i whose rewrite, a split of a cell >= 2 or
+    a merge of a 1 into its left neighbour, is lexical, or None if none is.
+    ``a[0]`` is the largest cell of ``a`` and a split never raises a cell, so a
+    split at i >= 2 is lexical when ``a[0]`` no longer recurs in it. A merge
+    raises only cell i - 1: past ``a[0]`` it is rejected for i > 2, and for
+    i = 2 it becomes the new, unique first cell, which is lexical. Every other
+    probe is tested against the suffixes at its heads, the cells equal to ``a[0]``.
 
     A probe keeps the cells of ``a`` before its rewrite index r, the 0-based index
     of the first cell it changes, and those after its rewrite, moved by one. So the
@@ -97,7 +97,7 @@ def _first_lexical_rewrite(a: AlphaSeq, start: int, n: int = 0, table: list | No
     star factorization before it pays for more probes: a factorization ends
     the scan and is returned as (factorization, the head table of ``a``), the
     table the search read, built then if no probe needed it before, and None
-    lets the scan go on with the same table.
+    lets the scan go on with the same table. An ``n`` of 0 skips the search.
     """
     head = a[0] if a else 0
     heads = a.count(head) if table is None else len(table) + 1

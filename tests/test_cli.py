@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import alphaseq
 from alphaseq import cli, enumeration
+from alphaseq.adjacency import star_factorize
 from alphaseq.core import format_sequence, harmonic, least_element, parse_sequence, star
 from alphaseq.oracle import OracleReport, oracle_dn
 
@@ -22,12 +24,6 @@ def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_list_ln_text(capsys):
-    code, out, _ = run(capsys, "list", "--set", "ln", "7")
-    assert code == 0
-    assert out == L7_TEXT
 
 
 def test_list_limit_prefix(capsys):
@@ -360,6 +356,41 @@ def test_step_from_a_long_least_element_round_trips(capsys):
     code, out, err = run(capsys, "succ", "--set", "ln", "3072", least)
     assert (code, err) == (0, "")
     assert run(capsys, "pred", "--set", "ln", "3072", out.strip()) == (0, least + "\n", "")
+
+
+def timed_run(capsys, *argv):
+    t0 = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 30, argv[:4]  # the step up here once took over a minute
+    return result
+
+
+def test_large_steps_round_trip_and_reject_a_non_member(capsys):
+    # the L_12288 step up from the least element and back, then its D_n bursts: the
+    # reverse burst lists the forward burst's harmonics reversed and ends at the least
+    # element. The least element with its last two cells swapped keeps its degree and
+    # heads but is not lexical, so the step's input check rejects it with one line
+    least = run(capsys, "least", "12288")[1].strip()
+    after = timed_run(capsys, "succ", "--set", "ln", "12288", least)[1].strip()
+    assert timed_run(capsys, "pred", "--set", "ln", "12288", after) == (0, least + "\n", "")
+    up = timed_run(capsys, "succ", "--set", "dn", "12288", least)[1].splitlines()
+    assert timed_run(capsys, "pred", "--set", "dn", "12288", up[-1])[1].splitlines() == up[-2::-1] + [least]
+    *cells, last, before = least.split(",")
+    bad = ",".join([*cells, before, last])
+    assert run(capsys, "lexical", bad) == (0, "false\n", "")
+    code, out, err = timed_run(capsys, "succ", "--set", "ln", "12288", bad)
+    assert (code, out, err.count("\n")) == (2, "", 1) and err.endswith("is not a member of L_12288\n")
+
+
+def test_large_resonant_step_down_round_trips_through_the_formula_branch(capsys):
+    # (3,2,1,2) = star((2,), least_element(3)) is fundamental in L_9, so the companion tail
+    # of star((3,2,1,2), least_element(1365)) in L_12285 is read off that factorization.
+    # The step up gives the member back; the D_n burst ends on the same predecessor
+    assert star_factorize((3, 2, 1, 2), 9) == ((2,), 3, (2,), 3)  # g, m, lam, d
+    a = run(capsys, "star", "3,2,1,2", run(capsys, "least", "1365")[1].strip())[1].strip()
+    before = timed_run(capsys, "pred", "--set", "ln", "12285", a)[1].strip()
+    assert timed_run(capsys, "succ", "--set", "ln", "12285", before) == (0, a + "\n", "")
+    assert timed_run(capsys, "pred", "--set", "dn", "12285", a)[1].splitlines()[-1] == before
 
 
 def test_pred_dn(capsys):

@@ -256,11 +256,6 @@ def test_least_element_examples(n, expected):
     assert least_element(n) == expected
 
 
-def test_least_element_is_the_oracle_minimum():
-    for n in range(1, 17):
-        assert least_element(n) == oracle_ln(n)[0]
-
-
 def test_least_element_cells_are_at_most_two():
     # star_factorize builds least_element(n) only for members starting with 1 or 2
     for n in range(2, 201):
