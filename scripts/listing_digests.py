@@ -17,7 +17,8 @@ Last come the domain-error exits of a cap spelled as no integer argument is,
 one per cap variable. Each environment group is set for its own commands only.
 Each digest covers the exit code, stderr and stdout of one in-process run of
 the checkout this script belongs to, so diffing the output of two checkouts
-shows any change in what these commands print.
+shows any change in what these commands print. A reader that closes the pipe
+early (``... | head``) ends the script quietly with exit 0, as the CLI does.
 """
 
 import hashlib
@@ -71,20 +72,27 @@ RAISED_CAP = [
     ["list", "--set", "dn", "60", "--desc", "--limit", "3"],
 ]
 
+
 def show(arg: str) -> str:
     return arg if len(arg) <= 40 else f"{arg[:8]}...({len(arg)} chars)"
 
 
-for env, argvs in (
-    ([], COMMANDS),
-    (["ALPHASEQ_ENUM_CAP=100"], RAISED_CAP),
-    (["ALPHASEQ_ENUM_CAP=1_0"], [["list", "--set", "ln", "5"]]),
-    (["ALPHASEQ_ORACLE_CAP=+3"], [["verify", "1", "3"]]),
-):
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, (v.split("=") for v in env)):
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.run(argv)
-        digest = hashlib.sha256(f"{code}\0{err.getvalue()}\0{out.getvalue()}".encode())
-        print(digest.hexdigest(), " ".join(map(show, env + argv)))
+def main() -> int:
+    for env, argvs in (
+        ([], COMMANDS),
+        (["ALPHASEQ_ENUM_CAP=100"], RAISED_CAP),
+        (["ALPHASEQ_ENUM_CAP=1_0"], [["list", "--set", "ln", "5"]]),
+        (["ALPHASEQ_ORACLE_CAP=+3"], [["verify", "1", "3"]]),
+    ):
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ, (v.split("=") for v in env)):
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.run(argv)
+            digest = hashlib.sha256(f"{code}\0{err.getvalue()}\0{out.getvalue()}".encode())
+            print(digest.hexdigest(), " ".join(map(show, env + argv)))
+    return 0
+
+
+if __name__ == "__main__":
+    cli._end(main)

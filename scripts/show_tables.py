@@ -16,10 +16,11 @@ own exit.
 import sys
 
 from alphaseq.cli import EXIT_DOMAIN, _end, _integer, _Parser
-from alphaseq.enumeration import enumerate_an, enumerate_dn, enumerate_ln
+from alphaseq.enumeration import enumerate_an_descending, enumerate_dn_descending, enumerate_ln_descending
 from alphaseq.errors import AlphaSequenceError
 
-STREAMS = {"an": enumerate_an, "ln": enumerate_ln, "dn": enumerate_dn}
+# descending, so the wall prints as the walk yields it: a first pass finds the widest row
+STREAMS = {"an": enumerate_an_descending, "ln": enumerate_ln_descending, "dn": enumerate_dn_descending}
 
 
 def main():
@@ -28,14 +29,14 @@ def main():
     parser.add_argument("n", type=_integer)
     args = parser.parse_args()
 
+    walk = STREAMS[args.set_name]
     try:
-        rows = list(STREAMS[args.set_name](args.n))
+        width = max(map(len, walk(args.n)))
     except (AlphaSequenceError, ValueError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    width = max(len(r) for r in rows)
     print("  ".join("+" if i % 2 == 0 else "-" for i in range(width)))
-    for row in reversed(rows):
+    for row in walk(args.n):
         print("  ".join(str(v) for v in row) if row else "0")
     return 0
 

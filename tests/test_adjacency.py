@@ -52,21 +52,6 @@ from alphaseq.oracle import oracle_ln
 from conftest import head_repeating_members, sequences_up_to_degree
 
 
-def test_successor_ln_examples():
-    assert successor_ln((3, 2, 3, 2), 11) == (3, 1, 1, 3, 2)
-    assert successor_ln((3, 1, 2, 1), 8) == (4, 3)
-    assert successor_ln((2, 1, 1, 2, 1), 8) == (2, 1, 1, 1, 1, 1)
-
-
-def test_successor_ln_errors():
-    with pytest.raises(Maximal):
-        successor_ln((6,), 7)
-    with pytest.raises(NotInSet):
-        successor_ln((2, 3), 6)  # right degree, not lexical
-    with pytest.raises(NotInSet):
-        successor_ln((4, 3), 9)
-
-
 def test_star_factorize_examples():
     fac = star_factorize((4, 3), 8)
     assert fac == StarFactorization(g=(3,), m=4, lam=(1,), d=2)
@@ -130,11 +115,7 @@ def test_star_factorize_matches_the_unpruned_loop():
 
 
 def test_lexical_sequence_of_another_class_is_not_a_member():
-    # the walks over L_7 and L_8 match the oracle, and a member of L_7, though
-    # lexical, has the wrong degree for L_8: every step entry rejects it
-    for n in (7, 8):
-        assert list(enumerate_ln(n)) == oracle_ln(n)
-        assert list(enumerate_ln_descending(n)) == oracle_ln(n)[::-1]
+    # a member of L_7, though lexical, has the wrong degree for L_8: every step entry rejects it
     a = (3, 1, 2)
     assert is_lexical(a)
     for step in (successor_ln, predecessor_ln, star_factorize, successor_dn):
@@ -227,13 +208,6 @@ def test_predecessor_tail_prefers_the_rightmost_rewrite():
     # regression: (2,1,2,1) in class 7 decomposes at two positive cells;
     # only the rightmost one gives the true companion (2,1,1,1,1)
     assert predecessor_tail((2, 1, 2, 1), 7) == (2, 1, 1, 1, 1)
-
-
-def test_predecessor_ln_examples():
-    assert predecessor_ln((4, 3), 8) == (3, 1, 2, 1)
-    assert predecessor_ln((4, 2, 1), 8) == (4, 3)
-    with pytest.raises(Minimal):
-        predecessor_ln((2, 1, 1, 2, 1), 8)
 
 
 @pytest.mark.parametrize("a, n, error, message", [
@@ -375,12 +349,6 @@ def test_doubled_class_surface_is_lexical():
             assert 1 + degree(glued) == n
             seen += 1
     assert seen > 0
-
-
-def test_prime_steps_are_always_direct():
-    for p in (2, 3, 5, 7, 11, 13):
-        for a in oracle_ln(p)[:-1]:
-            assert successor_is_direct(a, p)
 
 
 def test_composite_steps_are_not_always_direct():

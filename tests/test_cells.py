@@ -178,22 +178,6 @@ def test_split_conjugate_are_inverse(a, data):
         assert split(conjugate(a, i), i - 1) == a
 
 
-def test_successor_an_examples():
-    assert successor_an((1, 1, 1, 1)) == (1, 1, 2)
-    assert successor_an((2, 2)) == (2, 1, 1)
-    with pytest.raises(Maximal):
-        successor_an((4,))
-
-
-def test_predecessor_an_examples():
-    assert predecessor_an((1, 1, 1, 1)) == (1, 2, 1)
-    assert predecessor_an((2, 3)) == (1, 1, 3)
-    with pytest.raises(Minimal):
-        predecessor_an((1, 3))
-    with pytest.raises(Minimal):
-        predecessor_an((1,))
-
-
 def test_an_steps_match_oracle_adjacency():
     # the walk the steps make is the oracle's order
     for n in range(1, 15):

@@ -13,38 +13,15 @@ import pytest
 
 import alphaseq
 from alphaseq import cli, enumeration
-from alphaseq.adjacency import star_factorize
+from alphaseq.adjacency import predecessor_ln, star_factorize
 from alphaseq.core import format_sequence, harmonic, least_element, parse_sequence, star
 from alphaseq.oracle import OracleReport, oracle_dn
-
-L7_TEXT = "2,1,1,1,1\n2,1,2,1\n3,2,1\n3,1,1,1\n3,1,2\n4,2\n4,1,1\n5,1\n6\n"
 
 
 def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_list_limit_prefix(capsys):
-    code, out, _ = run(capsys, "list", "--set", "dn", "8", "--limit", "3")
-    assert code == 0
-    assert out == "0\n1\n2,1\n"
-    code, out, _ = run(capsys, "list", "--set", "dn", "8")
-    assert code == 0
-    assert out.splitlines() == ["0"] + [format_sequence(a) for a in oracle_dn(8)[1:]]
-
-
-def test_list_desc(capsys):
-    code, out, _ = run(capsys, "list", "--set", "ln", "7", "--desc")
-    assert code == 0
-    assert out == "\n".join(reversed(L7_TEXT.split("\n")[:-1])) + "\n"
-    code, out, _ = run(capsys, "list", "--set", "dn", "8", "--desc", "--limit", "2")
-    assert code == 0
-    assert out == "7\n6,1\n"
-    code, out, _ = run(capsys, "list", "--set", "an", "4", "--desc", "--limit", "2")
-    assert code == 0
-    assert out == "4\n3,1\n"
 
 
 def test_list_checks_limit_before_walking(capsys, monkeypatch):
@@ -218,25 +195,6 @@ def test_list_an_with_a_small_limit_builds_no_set_size(capsys, monkeypatch):
     )
 
 
-def test_list_json_round_trips(capsys):
-    code, out, _ = run(capsys, "list", "--set", "dn", "8", "--format", "json")
-    assert code == 0
-    record = json.loads(out)
-    assert record["n"] == 8 and record["set"] == "dn"
-    assert record["count"] == 20 == len(record["items"])
-    assert record["items"][0] == []  # the zero sequence
-    assert record["items"][-1] == [7]
-    assert json.dumps(record, separators=(",", ":")) + "\n" == out
-
-
-def test_list_csv(capsys):
-    code, out, _ = run(capsys, "list", "--set", "an", "4", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[0] == "1,3"
-    code, out, _ = run(capsys, "list", "--set", "dn", "8", "--format", "csv", "--limit", "1")
-    assert out == "0\n"
-
-
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_list_ends_quietly_when_the_reader_closes_the_pipe(fmt):
     # the L_18 listing (about 124 KB) outgrows a 64 KiB pipe buffer, so the
@@ -349,15 +307,6 @@ def test_pred(capsys):
     assert "minimal" in err
 
 
-def test_step_from_a_long_least_element_round_trips(capsys):
-    # least_element(3072) repeats its first cell 1024 times; its step up, once cubic in
-    # n and seconds long, shares one head table across its probes
-    least = format_sequence(least_element(3072))
-    code, out, err = run(capsys, "succ", "--set", "ln", "3072", least)
-    assert (code, err) == (0, "")
-    assert run(capsys, "pred", "--set", "ln", "3072", out.strip()) == (0, least + "\n", "")
-
-
 def timed_run(capsys, *argv):
     t0 = time.perf_counter()
     result = run(capsys, *argv)
@@ -391,6 +340,20 @@ def test_large_resonant_step_down_round_trips_through_the_formula_branch(capsys)
     before = timed_run(capsys, "pred", "--set", "ln", "12285", a)[1].strip()
     assert timed_run(capsys, "succ", "--set", "ln", "12285", before) == (0, a + "\n", "")
     assert timed_run(capsys, "pred", "--set", "dn", "12285", a)[1].splitlines()[-1] == before
+
+
+def test_large_bursts_list_their_harmonics_in_order(capsys):
+    # star((2,), least_element(1024)) = h_10((2,)) in L_3072 has d = 2**10, so its D_n
+    # step down lists ten harmonics, h_9((2,)) first, before its L_n predecessor, and
+    # the step up from that predecessor lists them from h_0((2,)) and ends at the member
+    a = star((2,), least_element(1024))
+    assert a == harmonic(10, (2,))
+    harmonics = [format_sequence(harmonic(j, (2,))) + "\n" for j in range(10)]
+    before = format_sequence(predecessor_ln(a, 3072)) + "\n"
+    down = timed_run(capsys, "pred", "--set", "dn", "3072", format_sequence(a))
+    assert down == (0, "".join(harmonics[::-1]) + before, "")
+    up = timed_run(capsys, "succ", "--set", "dn", "3072", before.strip())
+    assert up == (0, "".join(harmonics) + format_sequence(a) + "\n", "")
 
 
 def test_pred_dn(capsys):

@@ -242,20 +242,6 @@ def test_fundamental_means_not_a_first_harmonic():
         assert is_fundamental(a) == (a not in harmonics)
 
 
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (1, ZERO),
-        (2, (1,)),
-        (6, (2, 1, 1, 1)),
-        (7, (2, 1, 1, 1, 1)),
-        (8, (2, 1, 1, 2, 1)),
-    ],
-)
-def test_least_element_examples(n, expected):
-    assert least_element(n) == expected
-
-
 def test_least_element_cells_are_at_most_two():
     # star_factorize builds least_element(n) only for members starting with 1 or 2
     for n in range(2, 201):

@@ -4,7 +4,6 @@ from itertools import islice
 import pytest
 
 from alphaseq import adjacency
-from alphaseq.core import ZERO, order_key
 from alphaseq.enumeration import (
     enumerate_an,
     enumerate_an_descending,
@@ -18,35 +17,10 @@ from alphaseq.oracle import all_compositions, cardinality, oracle_an, oracle_dn,
 
 A4 = [(1, 3), (1, 2, 1), (1, 1, 1, 1), (1, 1, 2), (2, 2), (2, 1, 1), (3, 1), (4,)]
 
-L7 = [
-    (2, 1, 1, 1, 1),
-    (2, 1, 2, 1),
-    (3, 2, 1),
-    (3, 1, 1, 1),
-    (3, 1, 2),
-    (4, 2),
-    (4, 1, 1),
-    (5, 1),
-    (6,),
-]
-
 
 def test_golden_a4():
     assert list(enumerate_an(4)) == A4
     assert list(enumerate_an(1)) == [(1,)]
-
-
-def test_small_ln():
-    assert list(enumerate_ln(1)) == [ZERO]
-    assert list(enumerate_ln(2)) == [(1,)]
-    assert list(enumerate_ln(4)) == [(2, 1), (3,)]
-
-
-def test_small_dn():
-    assert list(enumerate_dn(1)) == [ZERO]
-    assert list(enumerate_dn(2)) == [ZERO, (1,)]
-    # prime index: only the zero sequence joins L_p
-    assert list(enumerate_dn(7)) == [ZERO] + L7
 
 
 # A_n is counted unsorted: its size needs no comparator sort
@@ -94,15 +68,6 @@ def test_cardinality_reads_only_the_divisors():
     # 10**6 has 49 divisors; scanning every d <= n with an unmemoized recursion took 0.2 s
     best = min(timeit.repeat(lambda: cardinality("dn", 10**6), number=1, repeat=3))
     assert best < 0.05, best
-
-
-def test_streams_strictly_ascend():
-    for n in (6, 8, 12):
-        for stream in (enumerate_an(n), enumerate_ln(n), enumerate_dn(n)):
-            items = list(stream)
-            keys = [order_key(a) for a in items]
-            assert keys == sorted(keys)
-            assert len(set(items)) == len(items)
 
 
 def test_descending_walks():

@@ -19,3 +19,17 @@ def test_listing_digests_match_the_committed_file():
                           capture_output=True, text=True, timeout=300, env=env)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (ROOT / "tests" / "listing_digests.txt").read_text()
+
+
+def test_ends_quietly_when_the_reader_closes_the_pipe():
+    # the digests (about 140 KB) outgrow a 64 KiB pipe buffer, so the script is still
+    # writing when the reader goes away; the cap keeps the listings it makes first small
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ALPHASEQ_")}
+    child = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "listing_digests.py")],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**env, "ALPHASEQ_ENUM_CAP": "10"})
+    first = child.stdout.readline()
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert first.endswith(b" list --set an 0 --format text\n") and child.returncode == 0
+    assert err == b""

@@ -33,6 +33,12 @@ def test_prints_the_wall_largest_element_on_top():
     assert show_tables("--set", "an", "3") == (0, "+  -  +\n3\n2  1\n1  1  1\n1  2\n", "")
 
 
+def test_memory_does_not_grow_with_the_set(peak_rss_kb):
+    # A_20 has 524 288 rows; a wall held whole before printing peaked 70 MB above A_8
+    peaks = [peak_rss_kb(str(SCRIPT), "--set", "an", str(n)) for n in (8, 20)]
+    assert peaks[1] < peaks[0] + 4 * 1024, peaks
+
+
 def test_ends_quietly_when_the_reader_closes_the_pipe():
     # the wall of A_16 (about 800 KB) outgrows a 64 KiB pipe buffer, so the
     # script is still writing when the reader goes away

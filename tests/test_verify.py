@@ -12,7 +12,8 @@ import pytest
 import alphaseq
 from alphaseq import cli, enumeration, oracle
 from alphaseq.core import compare
-from alphaseq.oracle import OracleReport, cardinality, diff_ordered, oracle_ln, verify_range
+from alphaseq.errors import NotInSet
+from alphaseq.oracle import OracleReport, cardinality, diff_ordered, oracle_adjacent, oracle_ln, verify_range
 
 L9 = oracle_ln(9)
 
@@ -43,6 +44,13 @@ def test_diff_ordered_streams_as_it_diffs_lists(actual):
     assert diff_ordered(L9, iter(actual)) == want
     assert diff_ordered(L9, (a for a in actual)) == want
     assert (want == []) == (actual == L9)
+
+
+def test_oracle_adjacent_names_a_non_member_in_its_message():
+    # the oracle raises NotInSet with a plain message, not the (a, kind, n) form
+    with pytest.raises(NotInSet) as exc:
+        oracle_adjacent(oracle_ln(8), (9, 9))
+    assert str(exc.value) == "(9, 9) is not a member of the given set"
 
 
 def test_report_counts_are_the_closed_forms():
