@@ -5,15 +5,17 @@ least, verify. ``succ --set dn`` and ``pred --set dn`` print the whole
 insertion burst of one L_n step, one element per line. Sequences are
 written as comma-separated positive integers in ASCII digits ("3,1,2,1");
 the zero sequence is the literal "0". ``list`` streams every format through one
-encoder: it takes the rows 64 at a time; text and CSV (a CSV row is the text line)
-join them by line breaks, and JSON wraps each row in brackets. Every cell's text
-comes from a table that converts each distinct cell value once. A row of L_n or
-D_n is an item of the walk, its cells joined in C. A_n is not walked row by row:
-its rows are stitched by the first-cell law onto the rows of the small A_m, which
-the step walk makes once per listing, one string concatenation per row. A cell
-too long to print is a domain error. ``list`` takes its length, the JSON
-``count``, from the closed forms of ``oracle.cardinality``, so a ``--limit`` at
-or above the set's size lists the whole set. ``least``,
+encoder, a block of at most 64 rows per write: a head and its tails, whose rows are
+the head followed by each tail. Text and CSV (a CSV row is the text line) write a
+block as one join of its tails by a line break and the head, JSON as one join by
+"],[" and the head, so no row is a string of its own. Every cell's text comes from
+a table that converts each distinct cell value once. An L_n or D_n block has the
+empty head and the next 64 items of the walk, each its cells joined in C. A_n is
+not walked row by row: a block of A_n, stitched by the first-cell law, is a head of
+first cells with the rows of a small A_m, which the step walk makes once per
+listing. A cell too long to print is a domain error. ``list`` takes its length,
+the JSON ``count``, from the closed forms of ``oracle.cardinality``, so a
+``--limit`` at or above the set's size lists the whole set. ``least``,
 ``harmonic`` and ``star`` refuse an output of more than ``MAX_CELLS`` cells as
 a domain error. ``verify`` prints and flushes each set's line as soon as that
 set is certified. Exit codes: 0 success, 1 usage error, 2 domain error, 3
@@ -29,7 +31,7 @@ import gc
 import os
 import sys
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 from . import enumeration, oracle
 from .adjacency import predecessor_dn, predecessor_ln, successor_dn, successor_ln
@@ -144,13 +146,14 @@ def _say(line: str) -> int:
 def _cmd_list(args) -> int:
     cell = _CellText().__getitem__
     if args.set_name == "an":
-        rows = _an_rows(args.n, args.desc, cell)
+        blocks = _an_rows(args.n, args.desc, cell)
     else:
         # read off the module at call time, so a rebound walk is the one that runs
         walk = getattr(enumeration, f"enumerate_{args.set_name}{'_descending' if args.desc else ''}")
         # each item becomes the row of its cells joined by commas, all in C; each distinct
         # cell value is converted to text once, by the table. The zero sequence joins to "".
         rows = map(",".join, map(map, repeat(cell), walk(args.n)))
+        blocks = zip(repeat(""), iter(lambda: list(islice(rows, 64)), []))
     # only a --limit below the set's size cuts the rows, so an overshooting walk still shows.
     # |A_n| = 2^(n-1) takes n/8 bytes, so for an the cut is read off the limit's bit length.
     if args.limit is None:
@@ -160,42 +163,55 @@ def _cmd_list(args) -> int:
     else:
         cut = args.limit < oracle.cardinality(args.set_name, args.n)
     if cut:
-        rows = islice(rows, args.limit)
-    # One encoder for every format: the rows are taken 64 at a time, which keeps each
+        blocks = _first_rows(blocks, args.limit)
+    # One encoder for every format: a block holds at most 64 rows, which keeps each
     # write well inside one 8 KiB stdout block, so output leaves steadily.
-    chunks = iter(lambda: list(islice(rows, 64)), [])
     write = sys.stdout.write
     if args.format != "json":
         # a CSV row of positive integers needs no quoting, so it is the text line
-        for chunk in chunks:
-            if not all(chunk):
-                chunk = [row or "0" for row in chunk]
-            write("\n".join(chunk) + "\n")
+        for head, tails in blocks:
+            if not head and not all(tails):
+                tails = [row or "0" for row in tails]
+            write(head + ("\n" + head).join(tails) + "\n")
         return EXIT_OK
     # "count" precedes "items", so it is the length decided above, not read off the rows
     count = args.limit if cut else oracle.cardinality(args.set_name, args.n)
     write(f'{{"n":{args.n},"set":"{args.set_name}","count":{count},"items":[')
     lead = "["
-    for chunk in chunks:
-        write(lead + "],[".join(chunk) + "]")
+    for head, tails in blocks:
+        write(lead + head + ("],[" + head).join(tails) + "]")
         lead = ",["
     write("]}\n")
     return EXIT_OK
 
 
+def _first_rows(blocks, limit: int) -> Iterator[tuple[str, list[str]]]:
+    """The blocks that hold the first ``limit`` rows; only the block the limit ends in is sliced."""
+    if limit:
+        for head, tails in blocks:
+            if limit <= len(tails):
+                yield head, tails[:limit]
+                return
+            limit -= len(tails)
+            yield head, tails
+
+
 #: Largest m whose A_m rows ``list --set an`` takes from the step walk, as the tails
-#: that longer rows end in. Their number doubles with each step of m, so it stays small.
-_AN_BLOCK = 6
+#: that longer rows end in. A block is the rows of one A_m, so it holds at most
+#: 2^(m-1) = 64 rows, the bound of an L_n or D_n block.
+_AN_BLOCK = 7
 
 
-def _an_rows(n: int, desc: bool, cell) -> Iterator[str]:
-    """The rows of A_n, ascending or descending, as text, stitched by the first-cell law.
+def _an_rows(n: int, desc: bool, cell) -> Iterator[tuple[str, list[str]]]:
+    """The rows of A_n, ascending or descending, as blocks stitched by the first-cell law.
 
     Ascending A_m is, for c = 1 .. m, the cell c followed by the rows of descending
     A_(m - c); descending A_m is, for c = m .. 1, c followed by ascending A_(m - c); A_0
-    is the empty row. For m - c <= _AN_BLOCK the rows after c are tails, ``"," + row``
-    for each row of the step walk over A_(m - c), rendered once per listing, so each
-    row of that block is one string concatenation; a larger m - c recurses.
+    is the empty row. For m - c <= _AN_BLOCK the rows after c make one block
+    ``(head, tails)``: the head is the first cells up to c, as text, and the tails are
+    ``"," + row`` for each row of the step walk over A_(m - c), rendered once per
+    listing, so a block's rows are ``head + t`` for each of its tails ``t``; a larger
+    m - c recurses. The cap is checked when this is called, before any row is written.
     """
     ENUM_CAP.check(n)
     # tails[d][m]: the tails of A_m, ascending for d = 0 and descending for d = 1
@@ -204,15 +220,15 @@ def _an_rows(n: int, desc: bool, cell) -> Iterator[str]:
         for walk in (enumeration.enumerate_an, enumeration.enumerate_an_descending)
     ]
 
-    def blocks(prefix: str, m: int, desc: bool) -> Iterator[list[str]]:
+    def blocks(prefix: str, m: int, desc: bool) -> Iterator[tuple[str, list[str]]]:
         for c in range(m, 0, -1) if desc else range(1, m + 1):
             head = prefix + cell(c)
             if m - c <= _AN_BLOCK:
-                yield list(map(head.__add__, tails[not desc][m - c]))
+                yield head, tails[not desc][m - c]
             else:
                 yield from blocks(head + ",", m - c, not desc)
 
-    return chain.from_iterable(blocks("", n, desc))
+    return blocks("", n, desc)
 
 
 class _CellText(dict):

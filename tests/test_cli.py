@@ -67,8 +67,11 @@ def test_list_formats_render_the_walk(capsys, set_name):
     for n, desc in itertools.product(range(1, 17), (False, True)):
         walk = getattr(enumeration, f"enumerate_{set_name}{'_descending' if desc else ''}")
         items = list(walk(n))
-        # 63..65 and 128 sit on the seams of the 64-item chunks that list encodes
-        for limit in (None, 0, 1, 5, 63, 64, 65, 128):
+        # 63..65 and 128 sit on the seams of the 64-row blocks that list writes for ln and
+        # dn. A_9's blocks hold 1, 1, 2, .. 64 rows and back down to 1, so its limits
+        # 0..256 cut inside each block and at each of its edges
+        limits = range(257) if (set_name, n) == ("an", 9) else (None, 0, 1, 5, 63, 64, 65, 128)
+        for limit in limits:
             argv = ["list", "--set", set_name, str(n)] + ["--desc"] * desc
             argv += [] if limit is None else ["--limit", str(limit)]
             head = items[:limit]
@@ -116,7 +119,7 @@ def test_list_an_steps_only_to_build_its_tails(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_list_an_far_past_the_block_size_is_the_walk(capsys, monkeypatch, fmt):
     # a prefix of A_3000 stitches rows whose first cells run to 2999 across several
-    # levels of the first-cell law and many 64-row chunk seams
+    # levels of the first-cell law, each block one join of a head and its tails
     monkeypatch.setenv("ALPHASEQ_ENUM_CAP", "5000")
     for desc in (False, True):
         walk = enumeration.enumerate_an_descending if desc else enumeration.enumerate_an

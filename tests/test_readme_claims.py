@@ -74,14 +74,14 @@ def _l20_star_factors(step_events, monkeypatch):
 
 
 def _an_list_steps(step_events, monkeypatch):
-    # the A_n step calls of one `list --set an` in each direction, at two n >= 7:
+    # the A_n step calls of one `list --set an` in each direction, at two n >= 8:
     # the README says the count is the same for all of them
     calls = []
     for name in ("successor_an", "predecessor_an"):
         step = getattr(enumeration, name)
         monkeypatch.setattr(enumeration, name, lambda a, step=step: calls.append(a) or step(a))
     counts = set()
-    for n in (7, 17):
+    for n in (8, 17):
         for desc in ([], ["--desc"]):
             calls.clear()
             with contextlib.redirect_stdout(io.StringIO()):
